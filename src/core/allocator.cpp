@@ -1,5 +1,6 @@
 #include "rebudget/core/allocator.h"
 
+#include <cmath>
 #include <sstream>
 
 #include "rebudget/util/logging.h"
@@ -30,10 +31,13 @@ tryValidateProblem(const AllocationProblem &problem)
         }
     }
     for (size_t j = 0; j < problem.capacities.size(); ++j) {
-        if (problem.capacities[j] <= 0.0) {
+        // isfinite() also rejects NaN, which every ordered comparison
+        // would let through.
+        const double c = problem.capacities[j];
+        if (!std::isfinite(c) || c <= 0.0) {
             std::ostringstream ss;
-            ss << "capacities must be positive (resource " << j << " is "
-               << problem.capacities[j] << ")";
+            ss << "capacities must be finite and positive (resource " << j
+               << " is " << c << ")";
             return ss.str();
         }
     }

@@ -222,7 +222,8 @@ class Allocator
 };
 
 /**
- * Check problem arity without side effects.
+ * Check problem arity, capacities (finite and positive) and player ids
+ * without side effects.
  *
  * @return std::nullopt if the problem is well-formed, else a diagnostic
  * describing the first inconsistency.  Used by the eval layer to skip a

@@ -1,7 +1,9 @@
 #include "rebudget/core/max_efficiency.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "rebudget/util/logging.h"
 
@@ -11,7 +13,8 @@ MaxEfficiencyAllocator::MaxEfficiencyAllocator(
     const MaxEfficiencyConfig &config)
     : config_(config)
 {
-    if (config_.quantumFraction <= 0.0 || config_.quantumFraction > 1.0) {
+    // Negated so that a NaN fraction fails the check too.
+    if (!(config_.quantumFraction > 0.0 && config_.quantumFraction <= 1.0)) {
         configStatus_ = util::SolveStatus::error(
             util::StatusCode::InvalidArgument,
             "quantumFraction must be in (0, 1] (got %g)",
@@ -25,7 +28,8 @@ namespace {
  * @return true if `prior` carries an allocation usable as a hill-climb
  * starting point for this problem: matching shape, non-negative
  * entries, and columns summing to the capacities (the invariant the
- * exchange refinement preserves).
+ * exchange refinement preserves).  Both value checks are negated
+ * comparisons, so a NaN anywhere in the seed rejects it.
  */
 bool
 usableWarmAlloc(const AllocationProblem &problem,
@@ -39,7 +43,7 @@ usableWarmAlloc(const AllocationProblem &problem,
         return false;
     for (auto row : prior->alloc) {
         for (double v : row) {
-            if (v < 0.0)
+            if (!(v >= 0.0))
                 return false;
         }
     }
@@ -47,11 +51,158 @@ usableWarmAlloc(const AllocationProblem &problem,
         double sum = 0.0;
         for (size_t i = 0; i < n; ++i)
             sum += prior->alloc(i, j);
-        if (std::abs(sum - problem.capacities[j]) >
-            1e-6 * problem.capacities[j])
+        if (!(std::abs(sum - problem.capacities[j]) <=
+              1e-6 * problem.capacities[j]))
             return false;
     }
     return true;
+}
+
+/**
+ * Greedy fill: hand out quanta of each resource, interleaved, to the
+ * player with the largest marginal utility at its current bundle
+ * (first strictly greater wins ties).  Each player's marginals are
+ * cached and recomputed only when its row grows; utility models are
+ * pure functions of (model, row), so a cached entry is the double a
+ * fresh marginal() call would return.
+ */
+void
+greedyFill(const AllocationProblem &problem,
+           const std::vector<double> &quantum, util::Matrix<double> &alloc)
+{
+    const size_t n = problem.models.size();
+    const size_t m = problem.capacities.size();
+    alloc.assign(n, m, 0.0);
+    std::vector<double> remaining = problem.capacities;
+
+    // Resource-major so the per-quantum argmax scans a contiguous row.
+    util::Matrix<double> marginals(m, n);
+    auto refresh = [&](size_t i) {
+        for (size_t k = 0; k < m; ++k)
+            marginals(k, i) = problem.models[i]->marginal(k, alloc[i]);
+    };
+    for (size_t i = 0; i < n; ++i)
+        refresh(i);
+
+    bool any = true;
+    while (any) {
+        any = false;
+        for (size_t j = 0; j < m; ++j) {
+            if (remaining[j] <= 1e-12 * problem.capacities[j])
+                continue;
+            const double q = std::min(quantum[j], remaining[j]);
+            const std::span<const double> column = marginals[j];
+            size_t best = 0;
+            double best_m = -1.0;
+            for (size_t i = 0; i < n; ++i) {
+                if (column[i] > best_m) {
+                    best_m = column[i];
+                    best = i;
+                }
+            }
+            alloc(best, j) += q;
+            remaining[j] -= q;
+            refresh(best);
+            any = true;
+        }
+    }
+}
+
+/**
+ * Exchange refinement: try moving one quantum between every ordered
+ * player pair; accept any exchange that improves total utility.
+ * Marginals are only local slopes, so the acceptance test compares
+ * the actual utilities across the whole quantum.  When no pair
+ * exchange improves, the allocation is optimal up to the quantum
+ * granularity (utilities are concave per resource).
+ *
+ * Each player keeps u(x_i), u(x_i - q_j e_j) and u(x_i + q_j e_j) for
+ * every resource j, all evaluated at the bits now stored in row i; a
+ * row is re-evaluated only after it changes.  A pair test therefore
+ * sums the same doubles in the same order as evaluating the four
+ * utilities afresh.  A rejected move still writes the round trip
+ * (x - q) + q / (x + q) - q that applying and reverting it produces,
+ * which is not always x: the allocation and hillClimbSteps must equal,
+ * bit for bit, those of a climb that applies, evaluates and reverts
+ * every move (tests/core/max_efficiency_reference_test.cpp keeps that
+ * climb as the reference).
+ *
+ * @return the number of accepted exchanges.
+ */
+std::int64_t
+refineExchanges(const AllocationProblem &problem,
+                const std::vector<double> &quantum, int passes,
+                util::Matrix<double> &alloc)
+{
+    const size_t n = problem.models.size();
+    const size_t m = problem.capacities.size();
+
+    std::vector<double> u(n);
+    // Resource-major: row j holds u(x_i -/+ q_j e_j) for every player.
+    // A minus entry is only defined (and only read) while x_ij >= q_j.
+    util::Matrix<double> minus(m, n, 0.0);
+    util::Matrix<double> plus(m, n, 0.0);
+    auto evalShifts = [&](size_t i) {
+        const market::UtilityModel &model = *problem.models[i];
+        const std::span<double> row = alloc[i];
+        for (size_t k = 0; k < m; ++k) {
+            const double x = row[k];
+            row[k] = x + quantum[k];
+            plus(k, i) = model.utility(row);
+            if (!(x < quantum[k])) {
+                row[k] = x - quantum[k];
+                minus(k, i) = model.utility(row);
+            }
+            row[k] = x;
+        }
+    };
+    auto evalRow = [&](size_t i) {
+        u[i] = problem.models[i]->utility(alloc[i]);
+        evalShifts(i);
+    };
+    auto storeRoundTrip = [&](size_t i, size_t j, double v) {
+        if (std::bit_cast<std::uint64_t>(v) ==
+            std::bit_cast<std::uint64_t>(alloc(i, j)))
+            return;
+        alloc(i, j) = v;
+        evalRow(i);
+    };
+    for (size_t i = 0; i < n; ++i)
+        evalRow(i);
+
+    std::int64_t steps = 0;
+    for (int pass = 0; pass < passes; ++pass) {
+        bool improved = false;
+        for (size_t j = 0; j < m; ++j) {
+            const double q = quantum[j];
+            for (size_t donor = 0; donor < n; ++donor) {
+                for (size_t rcpt = 0; rcpt < n; ++rcpt) {
+                    if (rcpt == donor || alloc(donor, j) < q)
+                        continue;
+                    const double after = minus(j, donor) + plus(j, rcpt);
+                    const double before = u[donor] + u[rcpt];
+                    if (after > before + 1e-12) {
+                        // The moved rows are exactly the ones the
+                        // shifted entries were evaluated at.
+                        u[donor] = minus(j, donor);
+                        u[rcpt] = plus(j, rcpt);
+                        alloc(donor, j) -= q;
+                        alloc(rcpt, j) += q;
+                        evalShifts(donor);
+                        evalShifts(rcpt);
+                        improved = true;
+                        ++steps;
+                    } else {
+                        storeRoundTrip(donor, j, (alloc(donor, j) - q) + q);
+                        storeRoundTrip(rcpt, j, (alloc(rcpt, j) + q) - q);
+                    }
+                }
+            }
+        }
+        if (!improved)
+            break;
+    }
+    return steps;
 }
 
 } // namespace
@@ -74,7 +225,6 @@ MaxEfficiencyAllocator::allocate(const AllocationProblem &problem) const
         outcome.stats.allocateSeconds = util::monotonicSeconds() - t0;
         return outcome;
     }
-    const size_t n = problem.models.size();
     const size_t m = problem.capacities.size();
     auto &alloc = outcome.alloc;
 
@@ -86,81 +236,16 @@ MaxEfficiencyAllocator::allocate(const AllocationProblem &problem) const
         // Warm start: resume from the prior allocation (the previous
         // epoch's optimum is a near-optimal point when utilities drift
         // slowly) and let the exchange refinement move what changed.
-        // This skips the greedy fill, the expensive O(N * M / quantum)
-        // phase, without losing optimality: for per-resource concave
-        // utilities, exchange-local optimality is quantum-optimal from
-        // any full allocation.
+        // This skips the greedy fill without losing optimality: for
+        // per-resource concave utilities, exchange-local optimality is
+        // quantum-optimal from any full allocation.
         alloc = problem.warmStart->alloc;
     } else {
-        alloc.assign(n, m, 0.0);
-        std::vector<double> remaining = problem.capacities;
-
-        auto best_marginal_player = [&](size_t j) {
-            size_t best = 0;
-            double best_m = -1.0;
-            for (size_t i = 0; i < n; ++i) {
-                const double mg = problem.models[i]->marginal(j, alloc[i]);
-                if (mg > best_m) {
-                    best_m = mg;
-                    best = i;
-                }
-            }
-            return best;
-        };
-
-        // Greedy fill: hand out quanta of each resource, interleaved, to
-        // the player with the largest marginal utility at its current
-        // bundle.
-        bool any = true;
-        while (any) {
-            any = false;
-            for (size_t j = 0; j < m; ++j) {
-                if (remaining[j] <= 1e-12 * problem.capacities[j])
-                    continue;
-                const double q = std::min(quantum[j], remaining[j]);
-                const size_t i = best_marginal_player(j);
-                alloc(i, j) += q;
-                remaining[j] -= q;
-                any = true;
-            }
-        }
+        greedyFill(problem, quantum, alloc);
     }
+    outcome.stats.hillClimbSteps +=
+        refineExchanges(problem, quantum, config_.refinePasses, alloc);
 
-    // Exchange refinement: try moving one quantum between every ordered
-    // player pair; accept any exchange that improves total utility.
-    // Marginals are only local slopes, so the acceptance test evaluates
-    // the actual utilities across the whole quantum.  When no pair
-    // exchange improves, the allocation is optimal up to the quantum
-    // granularity (utilities are concave per resource).
-    for (int pass = 0; pass < config_.refinePasses; ++pass) {
-        bool improved = false;
-        for (size_t j = 0; j < m; ++j) {
-            const double q = quantum[j];
-            for (size_t donor = 0; donor < n; ++donor) {
-                for (size_t rcpt = 0; rcpt < n; ++rcpt) {
-                    if (rcpt == donor || alloc(donor, j) < q)
-                        continue;
-                    const double before =
-                        problem.models[donor]->utility(alloc[donor]) +
-                        problem.models[rcpt]->utility(alloc[rcpt]);
-                    alloc(donor, j) -= q;
-                    alloc(rcpt, j) += q;
-                    const double after =
-                        problem.models[donor]->utility(alloc[donor]) +
-                        problem.models[rcpt]->utility(alloc[rcpt]);
-                    if (after > before + 1e-12) {
-                        improved = true;
-                        ++outcome.stats.hillClimbSteps;
-                    } else {
-                        alloc(donor, j) += q; // revert
-                        alloc(rcpt, j) -= q;
-                    }
-                }
-            }
-        }
-        if (!improved)
-            break;
-    }
     // Allocation-only warm-start seed (bids empty: the oracle never runs
     // a market); the next epoch resumes refinement from here.
     auto seed = std::make_shared<market::EquilibriumResult>();

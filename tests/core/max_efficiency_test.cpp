@@ -1,6 +1,8 @@
 #include "rebudget/core/max_efficiency.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -144,6 +146,8 @@ TEST(MaxEfficiency, RejectsBadQuantum)
     MaxEfficiencyConfig bad;
     bad.quantumFraction = 0.0;
     EXPECT_FALSE(MaxEfficiencyAllocator{bad}.configStatus().ok());
+    bad.quantumFraction = std::nan("");
+    EXPECT_FALSE(MaxEfficiencyAllocator{bad}.configStatus().ok());
     bad.quantumFraction = 2.0;
     const MaxEfficiencyAllocator alloc{bad};
     EXPECT_FALSE(alloc.configStatus().ok());
@@ -151,6 +155,34 @@ TEST(MaxEfficiency, RejectsBadQuantum)
     const auto out = alloc.allocate(f.problem);
     EXPECT_FALSE(out.status.ok());
     EXPECT_TRUE(out.alloc.empty());
+}
+
+TEST(MaxEfficiency, NanPoisonedWarmSeedFallsBackToColdResult)
+{
+    // A seed with a NaN entry is not a usable starting point: the
+    // oracle must ignore it and return the cold result, bit for bit,
+    // instead of climbing from (and publishing) the NaN.
+    Fixture f = randomFixture(6, 4);
+    const MaxEfficiencyAllocator oracle;
+    const auto cold = oracle.allocate(f.problem);
+    ASSERT_TRUE(cold.status.ok());
+
+    market::EquilibriumResult seed;
+    seed.alloc = cold.alloc;
+    seed.alloc(1, 0) = std::nan("");
+    f.problem.warmStart = &seed;
+    const auto warm = oracle.allocate(f.problem);
+    ASSERT_TRUE(warm.status.ok());
+    EXPECT_EQ(warm.stats.hillClimbSteps, cold.stats.hillClimbSteps);
+    ASSERT_EQ(warm.alloc.rows(), cold.alloc.rows());
+    ASSERT_EQ(warm.alloc.cols(), cold.alloc.cols());
+    for (size_t i = 0; i < cold.alloc.rows(); ++i) {
+        for (size_t j = 0; j < cold.alloc.cols(); ++j) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(warm.alloc(i, j)),
+                      std::bit_cast<uint64_t>(cold.alloc(i, j)))
+                << i << "," << j;
+        }
+    }
 }
 
 TEST(MaxEfficiency, SinglePlayerTakesEverything)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -288,4 +290,19 @@ TEST(BundleRunner, TryValidateProblemDiagnoses)
 
     core::AllocationProblem empty;
     EXPECT_TRUE(core::tryValidateProblem(empty).has_value());
+
+    // Non-finite capacities are rejected too (every ordered comparison
+    // lets NaN through), and the oracle, whose greedy fill never ends
+    // on a NaN capacity, returns the diagnosis instead of running.
+    const core::MaxEfficiencyAllocator oracle;
+    for (double cap : {std::nan(""), std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+        core::AllocationProblem bad_cap = bp.problem;
+        bad_cap.capacities[1] = cap;
+        EXPECT_TRUE(core::tryValidateProblem(bad_cap).has_value()) << cap;
+        const auto out = oracle.allocate(bad_cap);
+        EXPECT_EQ(out.status.code(), util::StatusCode::InvalidArgument)
+            << cap;
+        EXPECT_TRUE(out.alloc.empty()) << cap;
+    }
 }
