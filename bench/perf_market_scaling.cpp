@@ -18,7 +18,16 @@
  * BM_ProblemConstruction pins that claim by timing construction
  * itself (it must scale as O(players) pointer copies, not O(players)
  * grid profiles).
+ *
+ * BM_ScoreOutcome times eval::scoreOutcome, which evaluates each
+ * distinct (model, row) pair once.  Its shared case is that catalog
+ * roster; its unshared case gives every player its own model and its
+ * own row, where sharing saves nothing and the n^2 utility() calls
+ * remain -- no other benchmark scores such a roster.
  */
+
+#include <memory>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -26,6 +35,7 @@
 #include "rebudget/core/max_efficiency.h"
 #include "rebudget/core/rebudget_allocator.h"
 #include "rebudget/eval/bundle_runner.h"
+#include "rebudget/util/rng.h"
 
 using namespace rebudget;
 
@@ -80,8 +90,51 @@ BM_MaxEfficiencyOracle(benchmark::State &state)
     state.SetComplexityN(state.range(0));
 }
 
+/**
+ * range(0) players; range(1) = 1 scores a ReBudget-40 outcome on the
+ * synthetic catalog roster (shared models), 0 an outcome with a
+ * distinct PowerLawUtility and a distinct row per player.
+ */
+void
+BM_ScoreOutcome(benchmark::State &state)
+{
+    const auto players = static_cast<size_t>(state.range(0));
+    eval::BundleProblem bp;
+    core::AllocationOutcome outcome;
+    std::vector<std::unique_ptr<market::PowerLawUtility>> unshared;
+    if (state.range(1) != 0) {
+        bp = eval::makeSyntheticBundleProblem(players, kSeed);
+        outcome = core::ReBudgetAllocator::withStep(40).allocate(bp.problem);
+    } else {
+        util::Rng rng(kSeed);
+        const std::vector<double> capacities = {4.0 * players,
+                                                10.0 * players};
+        bp.problem.capacities = capacities;
+        outcome.alloc.assign(players, capacities.size(), 0.0);
+        for (size_t i = 0; i < players; ++i) {
+            std::vector<double> weights, exponents;
+            for (size_t j = 0; j < capacities.size(); ++j) {
+                weights.push_back(rng.uniform(0.1, 1.0));
+                exponents.push_back(rng.uniform(0.2, 1.0));
+                outcome.alloc(i, j) = rng.uniform(0.0, 2.0) *
+                                      capacities[j] / players;
+            }
+            unshared.push_back(std::make_unique<market::PowerLawUtility>(
+                std::move(weights), std::move(exponents), capacities));
+            bp.problem.models.push_back(unshared.back().get());
+            outcome.budgets.push_back(rng.uniform(50.0, 100.0));
+            outcome.lambdas.push_back(rng.uniform(0.1, 1.0));
+        }
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(eval::scoreOutcome(bp.problem, outcome));
+}
+
 } // namespace
 
+BENCHMARK(BM_ScoreOutcome)
+    ->ArgNames({"players", "shared"})
+    ->ArgsProduct({{64, 256}, {1, 0}});
 BENCHMARK(BM_ProblemConstruction)
     ->RangeMultiplier(8)
     ->Range(8, 32768)

@@ -79,8 +79,10 @@ scoreOutcome(const core::AllocationProblem &problem,
     s.budgetRounds = outcome.budgetRounds;
     if (!s.status.ok())
         return s; // failed allocation: nothing to score
-    s.efficiency = market::efficiency(problem.models, outcome.alloc);
-    s.envyFreeness = market::envyFreeness(problem.models, outcome.alloc);
+    const market::OwnBestUtilities u =
+        market::ownAndBestUtilities(problem.models, outcome.alloc);
+    s.efficiency = u.efficiency();
+    s.envyFreeness = u.envyFreeness();
     if (!outcome.lambdas.empty()) {
         const auto mur = market::marketUtilityRange(outcome.lambdas);
         if (mur.ok())

@@ -438,10 +438,13 @@ BundleRunner::evaluateChurn(const workloads::Bundle &bundle,
             rec.scored = true;
             rec.converged = out.converged;
             res.converged = res.converged && out.converged;
-            rec.efficiency =
-                market::efficiency(problem.models, out.alloc);
-            rec.envyFreeness =
-                market::envyFreeness(problem.models, out.alloc);
+            // Scored against TRUTH models: lifetime fairness measures
+            // what each tenant actually got, not what a lying model
+            // claimed.
+            const market::OwnBestUtilities u =
+                market::ownAndBestUtilities(problem.models, out.alloc);
+            rec.efficiency = u.efficiency();
+            rec.envyFreeness = u.envyFreeness();
             if (!out.lambdas.empty()) {
                 if (const auto mur =
                         market::marketUtilityRange(out.lambdas);
@@ -458,23 +461,11 @@ BundleRunner::evaluateChurn(const workloads::Bundle &bundle,
             ef_sum += rec.envyFreeness;
             ++scored_epochs;
 
-            // Per-identity accumulation against TRUTH models: lifetime
-            // fairness measures what each tenant actually got, not what
-            // a lying model claimed.
             for (size_t i = 0; i < n; ++i) {
                 const core::PlayerId id = roster.idAt(i);
                 TenantAccum &a = accum[id];
-                const double own =
-                    problem.models[i]->utility(out.alloc[i]);
-                double best = own;
-                for (size_t j = 0; j < n; ++j) {
-                    if (j != i)
-                        best = std::max(
-                            best,
-                            problem.models[i]->utility(out.alloc[j]));
-                }
-                a.utilitySum += own;
-                a.bestOtherSum += best;
+                a.utilitySum += u.own[i];
+                a.bestOtherSum += u.best[i];
                 if (i < out.budgets.size()) {
                     a.budgetSum += out.budgets[i];
                     state.lastBudgets[id] = out.budgets[i];

@@ -194,11 +194,12 @@ class ProportionalMarket
      * @param models      one utility model per player (non-owning; must
      *                    outlive the market); all must have the same
      *                    number of resources
-     * @param capacities  C_j per resource (> 0)
+     * @param capacities  C_j per resource (finite, > 0)
      * @param config      market tuning
      *
      * A malformed setup (empty players/resources, null model, arity
-     * mismatch, non-positive capacity or maxIterations) does not throw:
+     * mismatch, a capacity that is not finite and positive, or a
+     * non-positive maxIterations) does not throw:
      * it is recorded in setupStatus() and every subsequent solve
      * returns that status without running.
      */
@@ -222,9 +223,10 @@ class ProportionalMarket
      * workspace; multi-solve callers should hold a SolveWorkspace and
      * use the Into form to stay allocation-free.
      *
-     * @param budgets  B_i per player (>= 0; values within FP noise of
-     *                 zero are clamped to 0, genuinely negative budgets
-     *                 yield an InvalidArgument status)
+     * @param budgets  B_i per player (finite, >= 0; values within FP
+     *                 noise of zero are clamped to 0, genuinely negative
+     *                 or non-finite budgets yield an InvalidArgument
+     *                 status)
      */
     EquilibriumResult findEquilibrium(
         const std::vector<double> &budgets) const;

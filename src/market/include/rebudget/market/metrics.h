@@ -18,10 +18,10 @@
  * Error policy: the range metrics take solver outputs, which can carry
  * floating-point noise (a lambda of -1e-15 from the incremental
  * gradient path); values within a small tolerance of zero are clamped
- * to 0 and only genuinely negative inputs are rejected, via an error
- * Expected rather than process death.  The utility metrics take
- * parallel arrays whose sizes the caller controls; a mismatch is a
- * caller bug and asserts.
+ * to 0 and only genuinely negative or non-finite inputs are rejected,
+ * via an error Expected rather than process death.  The utility
+ * metrics take parallel arrays whose sizes the caller controls; a
+ * mismatch is a caller bug and asserts.
  */
 
 #include <vector>
@@ -42,10 +42,49 @@ double efficiency(const std::vector<const UtilityModel *> &models,
                   const util::Matrix<double> &alloc);
 
 /**
+ * Every player's utility at its own row and at the best row of one
+ * allocation: the inputs of both Definition 1 and Definition 3.
+ */
+struct OwnBestUtilities
+{
+    /** own[i] = U_i(r_i). */
+    std::vector<double> own;
+    /**
+     * best[i] = max_j U_i(r_j) over every row, i's own included.  NaN
+     * utilities at other rows are skipped; a NaN own[i] makes best[i]
+     * NaN.
+     */
+    std::vector<double> best;
+
+    /** @return efficiency: the sum of own, in player order. */
+    double efficiency() const;
+
+    /**
+     * @return envy-freeness: min_i own[i] / best[i], where players with
+     * best[i] <= 0 (nothing to envy) contribute 1.
+     */
+    double envyFreeness() const;
+};
+
+/**
+ * @return own and best utilities of an allocation.  Calls utility()
+ * once per distinct (model pointer, row bits) pair instead of once per
+ * (player, row): players that share a model object (ProblemBuilder
+ * memoizes one per app) and rows with identical bits are evaluated
+ * once.  Utility models are pure functions of the row (see
+ * UtilityModel), so the values are bit for bit those of the n^2
+ * per-player scan; with nothing shared it makes exactly n^2 calls.
+ */
+OwnBestUtilities ownAndBestUtilities(
+    const std::vector<const UtilityModel *> &models,
+    const util::Matrix<double> &alloc);
+
+/**
  * @return envy-freeness of an allocation (Definition 3): for each player
  * i compute U_i(r_i) / max_j U_i(r_j) (the max includes j = i, so each
  * term is <= 1) and return the minimum over players.  Players whose
- * utility is zero everywhere contribute 1 (nothing to envy).
+ * utility is zero everywhere contribute 1 (nothing to envy).  Evaluated
+ * through ownAndBestUtilities.
  */
 double envyFreeness(const std::vector<const UtilityModel *> &models,
                     const util::Matrix<double> &alloc);
@@ -54,7 +93,7 @@ double envyFreeness(const std::vector<const UtilityModel *> &models,
  * @return MUR = min_i lambda_i / max_i lambda_i (Definition 5); 1 when
  * all lambdas are zero (fully satiated market).  Lambdas within FP
  * noise of zero count as zero; an empty set or a genuinely negative
- * lambda yields an error.
+ * lambda yields an error, and so does a NaN or infinite one.
  */
 util::Expected<double> marketUtilityRange(
     const std::vector<double> &lambdas);

@@ -44,10 +44,12 @@ validateSetup(const std::vector<const UtilityModel *> &models,
         }
     }
     for (double c : capacities) {
-        if (c <= 0.0) {
+        // isfinite() also rejects NaN, which `c <= 0.0` lets through.
+        if (!std::isfinite(c) || c <= 0.0) {
             return SolveStatus::error(
                 StatusCode::InvalidArgument,
-                "resource capacities must be positive (got %g)", c);
+                "resource capacities must be finite and positive (got %g)",
+                c);
         }
     }
     if (config.maxIterations <= 0) {
@@ -59,14 +61,20 @@ validateSetup(const std::vector<const UtilityModel *> &models,
 
 /**
  * Clamp FP-noise negative budgets to zero in place; a genuinely
- * negative budget (beyond noise tolerance) is an error.
+ * negative budget (beyond noise tolerance) or a non-finite one is an
+ * error.
  */
 SolveStatus
 sanitizeBudgets(std::vector<double> &budgets)
 {
     double scale = 1.0;
-    for (double b : budgets)
+    for (double b : budgets) {
+        if (!std::isfinite(b)) {
+            return SolveStatus::error(StatusCode::InvalidArgument,
+                                      "budgets must be finite (got %g)", b);
+        }
         scale = std::max(scale, std::abs(b));
+    }
     const double tol = 1e-9 * scale;
     for (double &b : budgets) {
         if (b < 0.0) {

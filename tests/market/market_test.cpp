@@ -1,5 +1,6 @@
 #include "rebudget/market/market.h"
 
+#include <cmath>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -210,6 +211,52 @@ TEST(Market, RejectsBadBudgets)
     ProportionalMarket mkt(ptrs(models), {10.0, 10.0});
     EXPECT_FALSE(mkt.findEquilibrium({1.0}).status.ok());
     EXPECT_FALSE(mkt.findEquilibrium({1.0, -2.0}).status.ok());
+}
+
+TEST(Market, RejectsNonFiniteCapacities)
+{
+    // NaN and +inf pass a `c <= 0.0` test; unchecked, a NaN capacity
+    // solves "converged" to NaN prices and +inf to zero prices.
+    const auto models = symmetricPlayers(2);
+    for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        const ProportionalMarket mkt(ptrs(models), {10.0, bad});
+        EXPECT_EQ(mkt.setupStatus().code(),
+                  util::StatusCode::InvalidArgument)
+            << bad;
+        const auto eq = mkt.findEquilibrium({100.0, 100.0});
+        EXPECT_EQ(eq.status.code(), util::StatusCode::InvalidArgument)
+            << bad;
+        EXPECT_FALSE(eq.converged) << bad;
+        EXPECT_TRUE(eq.alloc.empty()) << bad;
+    }
+}
+
+TEST(Market, RejectsNonFiniteBudgets)
+{
+    // NaN and +inf pass a `b < 0.0` test; unchecked, a NaN budget
+    // solves "converged" to NaN prices and +inf to an infinite price
+    // with a NaN allocation.  Cold, warm and rescale solves all reject.
+    const auto models = symmetricPlayers(2);
+    const ProportionalMarket mkt(ptrs(models), {10.0, 10.0});
+    const EquilibriumResult prior = mkt.findEquilibrium({100.0, 100.0});
+    ASSERT_TRUE(prior.status.ok());
+    for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        const std::vector<double> budgets = {100.0, bad};
+        const auto cold = mkt.findEquilibrium(budgets);
+        EXPECT_EQ(cold.status.code(), util::StatusCode::InvalidArgument)
+            << bad;
+        EXPECT_FALSE(cold.converged) << bad;
+        EXPECT_TRUE(cold.alloc.empty()) << bad;
+        const auto warm = mkt.findEquilibrium(budgets, &prior);
+        EXPECT_EQ(warm.status.code(), util::StatusCode::InvalidArgument)
+            << bad;
+        EXPECT_TRUE(warm.alloc.empty()) << bad;
+        const auto rescaled = mkt.rescaleEquilibrium(prior, budgets);
+        EXPECT_EQ(rescaled.status.code(),
+                  util::StatusCode::InvalidArgument)
+            << bad;
+        EXPECT_TRUE(rescaled.alloc.empty()) << bad;
+    }
 }
 
 TEST(Market, ClampsNoiseNegativeBudgets)

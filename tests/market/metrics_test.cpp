@@ -81,6 +81,69 @@ TEST(EnvyFreeness, NeverExceedsOne)
     EXPECT_LE(envyFreeness(models, alloc), 1.0);
 }
 
+/** Forwards to a model and counts utility() calls (test-only state). */
+class CountingUtility : public UtilityModel
+{
+  public:
+    explicit CountingUtility(const UtilityModel &inner) : inner_(inner) {}
+    size_t numResources() const override { return inner_.numResources(); }
+    double utility(std::span<const double> alloc) const override
+    {
+        ++calls;
+        return inner_.utility(alloc);
+    }
+    mutable int calls = 0;
+
+  private:
+    const UtilityModel &inner_;
+};
+
+TEST(OwnBestUtilities, EvaluatesEachDistinctModelAndRowOnce)
+{
+    // Six players on two shared models over three distinct row bit
+    // patterns: 2 x 3 utility() calls instead of 6 x 6.  +0.0 and -0.0
+    // are different bits, hence different rows.
+    const auto a = model2(1, 1);
+    const auto b = model2(2, 1);
+    const CountingUtility ca(*a), cb(*b);
+    const std::vector<const UtilityModel *> models = {&ca, &cb, &ca,
+                                                      &ca, &cb, &cb};
+    const util::Matrix<double> alloc = {{2.0, 0.0}, {2.0, -0.0},
+                                        {2.0, 0.0}, {5.0, 5.0},
+                                        {5.0, 5.0}, {2.0, -0.0}};
+    const OwnBestUtilities u = ownAndBestUtilities(models, alloc);
+    EXPECT_EQ(ca.calls, 3);
+    EXPECT_EQ(cb.calls, 3);
+    EXPECT_EQ(u.best[0], a->utility(alloc[3]));
+    EXPECT_EQ(u.own[4], b->utility(alloc[3]));
+}
+
+TEST(OwnBestUtilities, UnsharedRosterMakesNSquaredCalls)
+{
+    std::vector<std::unique_ptr<PowerLawUtility>> inner;
+    std::vector<std::unique_ptr<CountingUtility>> counted;
+    std::vector<const UtilityModel *> models;
+    util::Matrix<double> alloc(5, 2);
+    for (size_t i = 0; i < 5; ++i) {
+        inner.push_back(model2(1.0 + i, 1.0));
+        counted.push_back(std::make_unique<CountingUtility>(*inner[i]));
+        models.push_back(counted[i].get());
+        alloc(i, 0) = 1.0 + i;
+        alloc(i, 1) = 0.5 * i;
+    }
+    ownAndBestUtilities(models, alloc);
+    for (const auto &c : counted)
+        EXPECT_EQ(c->calls, 5);
+}
+
+TEST(OwnBestUtilitiesDeathTest, MismatchedArityAsserts)
+{
+    const auto a = model2(1, 1);
+    const std::vector<const UtilityModel *> models = {a.get()};
+    EXPECT_DEATH(ownAndBestUtilities(models, {}),
+                 "players/allocations mismatch");
+}
+
 TEST(Mur, Definition)
 {
     EXPECT_DOUBLE_EQ(marketUtilityRange({1.0, 2.0, 4.0}).value(), 0.25);
@@ -105,6 +168,20 @@ TEST(Mur, RejectsBadInput)
     const auto negative = marketUtilityRange({-1.0, 1.0});
     ASSERT_FALSE(negative.ok());
     EXPECT_EQ(negative.status().code(), util::StatusCode::Numerical);
+    // A NaN makes minmax_element's answer depend on its position (0.5
+    // for {0.5, NaN, 1}, NaN for {NaN, 0.5, 1}); any non-finite lambda
+    // is an error wherever it sits.
+    const double nan = std::nan("");
+    for (const std::vector<double> &bad :
+         {std::vector<double>{0.5, nan, 1.0},
+          std::vector<double>{nan, 0.5, 1.0},
+          std::vector<double>{0.5, 1.0, nan}, std::vector<double>{nan},
+          std::vector<double>{1.0, HUGE_VAL},
+          std::vector<double>{-HUGE_VAL, 1.0}}) {
+        const auto mur = marketUtilityRange(bad);
+        ASSERT_FALSE(mur.ok());
+        EXPECT_EQ(mur.status().code(), util::StatusCode::Numerical);
+    }
 }
 
 TEST(Mur, ClampsFloatingPointNoiseToZero)
@@ -130,6 +207,17 @@ TEST(Mbr, RejectsBadInput)
 {
     EXPECT_FALSE(marketBudgetRange({}).ok());
     EXPECT_FALSE(marketBudgetRange({-1.0}).ok());
+    // An infinite budget would make every ratio 0 ({1, inf} -> 0).
+    const double nan = std::nan("");
+    for (const std::vector<double> &bad :
+         {std::vector<double>{1.0, HUGE_VAL},
+          std::vector<double>{HUGE_VAL, HUGE_VAL},
+          std::vector<double>{1.0, nan}, std::vector<double>{nan, 1.0},
+          std::vector<double>{-HUGE_VAL, 1.0}}) {
+        const auto mbr = marketBudgetRange(bad);
+        ASSERT_FALSE(mbr.ok());
+        EXPECT_EQ(mbr.status().code(), util::StatusCode::Numerical);
+    }
 }
 
 TEST(Mbr, ClampsFloatingPointNoiseToZero)
