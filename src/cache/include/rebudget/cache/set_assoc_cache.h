@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "rebudget/cache/cache_config.h"
+#include "rebudget/cache/fixed_divisor.h"
 
 namespace rebudget::cache {
 
@@ -117,7 +118,8 @@ class SetAssocCache
 
     CacheConfig config_;
     uint32_t numPartitions_;
-    uint64_t numSets_;
+    uint32_t lineShift_;    // log2(lineBytes)
+    FixedDivisor setIndex_; // line address -> (tag, set)
     uint64_t now_ = 0;
     std::vector<Line> lines_; // sets * assoc, set-major
     std::vector<double> scales_;

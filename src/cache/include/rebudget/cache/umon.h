@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "rebudget/cache/fixed_divisor.h"
 #include "rebudget/cache/miss_curve.h"
 
 namespace rebudget::cache {
@@ -78,8 +79,10 @@ class UMonitor
 
   private:
     UMonConfig config_;
-    uint64_t shadowSets_;    // sets of the full-size shadow cache
-    uint64_t sampledSets_;   // number of monitored sets
+    uint64_t sampledSets_;     // number of monitored sets
+    uint32_t lineShift_ = 0;   // log2(lineBytes)
+    FixedDivisor setIndex_{1}; // line -> (tag, shadow set)
+    FixedDivisor sampling_{1}; // shadow set -> (sampled index, offset)
     // Per monitored set: LRU-ordered tags, front = MRU. Entry count is at
     // most maxRegions.
     std::vector<std::vector<uint64_t>> stacks_;

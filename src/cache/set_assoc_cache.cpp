@@ -1,5 +1,7 @@
 #include "rebudget/cache/set_assoc_cache.h"
 
+#include <bit>
+
 #include "rebudget/util/logging.h"
 
 namespace rebudget::cache {
@@ -18,13 +20,27 @@ CacheConfig::validate() const
     }
 }
 
-SetAssocCache::SetAssocCache(const CacheConfig &config, uint32_t partitions)
-    : config_(config), numPartitions_(partitions), numSets_(config.sets())
+namespace {
+
+// Validated before the set count is derived: sets() divides by
+// assoc * lineBytes.
+const CacheConfig &
+validated(const CacheConfig &config)
 {
-    config_.validate();
+    config.validate();
+    return config;
+}
+
+} // namespace
+
+SetAssocCache::SetAssocCache(const CacheConfig &config, uint32_t partitions)
+    : config_(validated(config)), numPartitions_(partitions),
+      lineShift_(static_cast<uint32_t>(std::countr_zero(config.lineBytes))),
+      setIndex_(config.sets())
+{
     if (partitions == 0)
         util::fatal("cache requires at least one partition");
-    lines_.assign(numSets_ * config_.assoc, Line{});
+    lines_.assign(config_.lines(), Line{});
     scales_.assign(partitions, 1.0);
     occupancy_.assign(partitions, 0);
     stats_.assign(partitions, PartitionStats{});
@@ -35,9 +51,10 @@ SetAssocCache::access(uint32_t partition, uint64_t addr, bool write)
 {
     REBUDGET_ASSERT(partition < numPartitions_, "partition out of range");
     ++now_;
-    const uint64_t line_addr = addr / config_.lineBytes;
-    const uint64_t set = line_addr % numSets_;
-    const uint64_t tag = line_addr / numSets_;
+    // lineBytes is a validated power of two; the set count may not be.
+    const QuotRem split = setIndex_.divide(addr >> lineShift_);
+    const uint64_t set = split.rem;
+    const uint64_t tag = split.quot;
     const uint64_t base = set * config_.assoc;
 
     AccessResult result;

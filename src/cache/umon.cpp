@@ -1,6 +1,7 @@
 #include "rebudget/cache/umon.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "rebudget/cache/curve_repair.h"
 #include "rebudget/util/logging.h"
@@ -14,15 +15,19 @@ UMonitor::UMonitor(const UMonConfig &config) : config_(config)
     if (config_.lineBytes == 0 ||
         (config_.lineBytes & (config_.lineBytes - 1)) != 0)
         util::fatal("UMonitor line size must be a power of two");
-    if (config_.regionBytes % config_.lineBytes != 0)
-        util::fatal("UMonitor region size must be a line multiple");
+    if (config_.regionBytes == 0 ||
+        config_.regionBytes % config_.lineBytes != 0)
+        util::fatal("UMonitor region size must be a positive line multiple");
     if (config_.samplingRatio == 0)
         util::fatal("UMonitor sampling ratio must be positive");
     // A full shadow cache of maxRegions capacity and maxRegions ways has
     // one set per line of a region.
-    shadowSets_ = config_.regionBytes / config_.lineBytes;
-    sampledSets_ = (shadowSets_ + config_.samplingRatio - 1) /
+    const uint64_t shadow_sets = config_.regionBytes / config_.lineBytes;
+    sampledSets_ = (shadow_sets + config_.samplingRatio - 1) /
                    config_.samplingRatio;
+    lineShift_ = static_cast<uint32_t>(std::countr_zero(config_.lineBytes));
+    setIndex_ = FixedDivisor(shadow_sets);
+    sampling_ = FixedDivisor(config_.samplingRatio);
     stacks_.assign(sampledSets_, {});
     hits_.assign(config_.maxRegions, 0);
 }
@@ -30,13 +35,14 @@ UMonitor::UMonitor(const UMonConfig &config) : config_(config)
 void
 UMonitor::observe(uint64_t addr)
 {
-    const uint64_t line = addr / config_.lineBytes;
-    const uint64_t set = line % shadowSets_;
-    if (set % config_.samplingRatio != 0)
+    // lineBytes is a validated power of two; the shadow set count and
+    // the sampling ratio may not be.
+    const QuotRem split = setIndex_.divide(addr >> lineShift_);
+    const QuotRem sample = sampling_.divide(split.rem);
+    if (sample.rem != 0)
         return; // not a sampled set
-    const uint64_t sampled_idx = set / config_.samplingRatio;
-    const uint64_t tag = line / shadowSets_;
-    auto &stack = stacks_[sampled_idx];
+    const uint64_t tag = split.quot;
+    auto &stack = stacks_[sample.quot];
     const auto it = std::find(stack.begin(), stack.end(), tag);
     if (it != stack.end()) {
         const auto d = static_cast<uint32_t>(it - stack.begin());

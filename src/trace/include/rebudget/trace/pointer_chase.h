@@ -27,7 +27,7 @@ class PointerChaseGen : public AddressGenerator
   public:
     /**
      * @param base_addr    starting byte address of the region
-     * @param working_set  footprint in bytes (> 0)
+     * @param working_set  footprint in bytes: 1 to 2^32 - 1 lines
      * @param line_bytes   node size (power of two)
      * @param seed         RNG seed used to build the cycle
      */

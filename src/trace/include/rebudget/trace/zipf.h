@@ -12,6 +12,7 @@
  */
 
 #include <cstdint>
+#include <vector>
 
 #include "rebudget/trace/generator.h"
 #include "rebudget/util/rng.h"
@@ -24,7 +25,7 @@ class ZipfWorkingSetGen : public AddressGenerator
   public:
     /**
      * @param base_addr       starting byte address of the region
-     * @param working_set     footprint in bytes (> 0)
+     * @param working_set     footprint in bytes: 1 to 2^32 - 1 lines
      * @param line_bytes      access granularity (power of two)
      * @param alpha           Zipf skew (0 = uniform; ~1 = strongly skewed)
      * @param write_fraction  probability an access is a store
@@ -44,7 +45,7 @@ class ZipfWorkingSetGen : public AddressGenerator
     uint64_t lineBytes_;
     double writeFraction_;
     util::ZipfSampler sampler_;
-    std::vector<uint64_t> rankToLine_;
+    std::vector<uint32_t> rankToLine_;
     util::Rng rng_;
 };
 

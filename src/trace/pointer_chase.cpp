@@ -15,10 +15,13 @@ PointerChaseGen::PointerChaseGen(uint64_t base_addr, uint64_t working_set,
     const uint64_t lines = working_set / line_bytes;
     if (lines == 0)
         util::fatal("working set smaller than one line");
+    if (lines > UINT32_MAX)
+        util::fatal("working set of %llu lines exceeds 2^32 - 1",
+                    static_cast<unsigned long long>(lines));
     // Build a random Hamiltonian cycle: shuffle the visit order, then link
     // each line to its successor.
     std::vector<uint32_t> order(lines);
-    std::iota(order.begin(), order.end(), 0);
+    std::iota(order.begin(), order.end(), uint32_t{0});
     util::Rng rng(seed);
     rng.shuffle(order);
     nextLine_.resize(lines);

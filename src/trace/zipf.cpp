@@ -6,25 +6,39 @@
 
 namespace rebudget::trace {
 
-ZipfWorkingSetGen::ZipfWorkingSetGen(uint64_t base_addr,
-                                     uint64_t working_set,
-                                     uint64_t line_bytes, double alpha,
-                                     double write_fraction, uint64_t seed)
-    : baseAddr_(base_addr), workingSet_(working_set), lineBytes_(line_bytes),
-      writeFraction_(write_fraction),
-      sampler_(working_set / line_bytes, alpha), rng_(seed)
+namespace {
+
+// Lines in the working set, validated before the sampler allocates.
+uint64_t
+checkedLines(uint64_t working_set, uint64_t line_bytes)
 {
     if (line_bytes == 0 || (line_bytes & (line_bytes - 1)) != 0)
         util::fatal("line_bytes must be a power of two");
     const uint64_t lines = working_set / line_bytes;
     if (lines == 0)
         util::fatal("working set smaller than one line");
+    if (lines > UINT32_MAX)
+        util::fatal("working set of %llu lines exceeds 2^32 - 1",
+                    static_cast<unsigned long long>(lines));
+    return lines;
+}
+
+} // namespace
+
+ZipfWorkingSetGen::ZipfWorkingSetGen(uint64_t base_addr,
+                                     uint64_t working_set,
+                                     uint64_t line_bytes, double alpha,
+                                     double write_fraction, uint64_t seed)
+    : baseAddr_(base_addr), workingSet_(working_set), lineBytes_(line_bytes),
+      writeFraction_(write_fraction),
+      sampler_(checkedLines(working_set, line_bytes), alpha), rng_(seed)
+{
     if (write_fraction < 0.0 || write_fraction > 1.0)
         util::fatal("write_fraction must be in [0,1]");
     // Scatter ranks across the footprint so that hot lines spread evenly
     // over cache sets rather than clustering at low set indices.
-    rankToLine_.resize(lines);
-    std::iota(rankToLine_.begin(), rankToLine_.end(), 0);
+    rankToLine_.resize(sampler_.size());
+    std::iota(rankToLine_.begin(), rankToLine_.end(), uint32_t{0});
     util::Rng perm_rng(seed ^ 0xa5a5a5a5a5a5a5a5ULL);
     perm_rng.shuffle(rankToLine_);
 }

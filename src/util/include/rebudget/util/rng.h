@@ -94,20 +94,29 @@ class Rng
 /**
  * Precomputed Zipf(alpha) sampler over {0, ..., n-1}.
  *
- * Uses an inverse-CDF table; construction is O(n), sampling O(log n).
- * alpha == 0 degenerates to the uniform distribution.
+ * Uses an inverse-CDF table with a guide table (Chen & Asau's indexed
+ * search): for m the largest power of two <= n, guide entry j is the
+ * first rank whose CDF reaches j/m, so a draw u searches only the ranks
+ * between the guide entries of its bucket floor(u*m) and the next one.
+ * Construction is O(n), sampling O(1) expected, and the rank is the one
+ * a binary search of the whole CDF returns.  alpha == 0 degenerates to
+ * the uniform distribution.
  */
 class ZipfSampler
 {
   public:
     /**
-     * @param n     population size (> 0)
+     * @param n     population size, in [1, 2^32 - 1]
      * @param alpha skew exponent (>= 0)
      */
     ZipfSampler(size_t n, double alpha);
 
-    /** Draw one sample in [0, n). */
+    /** Draw one sample in [0, n); consumes one Rng::uniform(). */
     size_t sample(Rng &rng) const;
+
+    /** @return the rank a uniform draw u in [0, 1) maps to: the first
+     * rank whose cumulative probability is >= u. */
+    size_t rankOf(double u) const;
 
     /** @return the population size. */
     size_t size() const { return cdf_.size(); }
@@ -117,6 +126,8 @@ class ZipfSampler
 
   private:
     std::vector<double> cdf_;
+    std::vector<uint32_t> guide_; // m + 1 bucket edges
+    double buckets_ = 1.0;        // m, a power of two
 };
 
 } // namespace rebudget::util

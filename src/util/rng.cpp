@@ -1,6 +1,7 @@
 #include "rebudget/util/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "rebudget/util/logging.h"
@@ -159,6 +160,8 @@ ZipfSampler::ZipfSampler(size_t n, double alpha)
 {
     if (n == 0)
         fatal("ZipfSampler requires a non-empty population");
+    if (n > UINT32_MAX)
+        fatal("ZipfSampler population %zu exceeds 2^32 - 1", n);
     if (alpha < 0.0)
         fatal("ZipfSampler requires alpha >= 0 (got %f)", alpha);
     cdf_.resize(n);
@@ -170,14 +173,43 @@ ZipfSampler::ZipfSampler(size_t n, double alpha)
     for (auto &c : cdf_)
         c /= sum;
     cdf_.back() = 1.0; // guard against rounding
+
+    // guide_[j] = lower_bound(cdf_, j/m), found by one forward merge.
+    // Every j/m is an exact double, and guide_[m] is a valid rank
+    // because cdf_.back() == 1.0.
+    const size_t m = std::bit_floor(n);
+    buckets_ = static_cast<double>(m);
+    guide_.resize(m + 1);
+    size_t k = 0;
+    for (size_t j = 0; j <= m; ++j) {
+        const double edge = static_cast<double>(j) / buckets_;
+        while (cdf_[k] < edge)
+            ++k;
+        guide_[j] = static_cast<uint32_t>(k);
+    }
 }
 
 size_t
 ZipfSampler::sample(Rng &rng) const
 {
-    const double u = rng.uniform();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<size_t>(it - cdf_.begin());
+    return rankOf(rng.uniform());
+}
+
+size_t
+ZipfSampler::rankOf(double u) const
+{
+    REBUDGET_ASSERT(u >= 0.0 && u < 1.0, "Zipf draw outside [0, 1)");
+    // u * m is exact (m is a power of two), so j/m <= u < (j+1)/m.
+    // Every rank before guide_[j] has CDF < j/m <= u, and guide_[j + 1]
+    // has CDF >= (j+1)/m > u, so the first rank whose CDF is not < u
+    // lies in [guide_[j], guide_[j + 1]]: lower_bound over that range,
+    // which returns its end when no earlier rank qualifies, gives the
+    // whole table's answer, ties included.
+    const auto j = static_cast<size_t>(u * buckets_);
+    const double *cdf = cdf_.data();
+    const double *it =
+        std::lower_bound(cdf + guide_[j], cdf + guide_[j + 1], u);
+    return static_cast<size_t>(it - cdf);
 }
 
 double

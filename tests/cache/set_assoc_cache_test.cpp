@@ -28,6 +28,15 @@ TEST(CacheConfig, ValidateRejectsBadGeometry)
     EXPECT_THROW((CacheConfig{1024, 4, 48}).validate(), util::FatalError);
 }
 
+TEST(SetAssocCache, RejectsBadGeometryBeforeDerivingSets)
+{
+    // sets() divides by assoc * lineBytes, so validation comes first.
+    EXPECT_THROW(SetAssocCache(CacheConfig{1024, 0, 64}, 1),
+                 util::FatalError);
+    EXPECT_THROW(SetAssocCache(CacheConfig{1024, 4, 0}, 1),
+                 util::FatalError);
+}
+
 TEST(SetAssocCache, FirstAccessMissesSecondHits)
 {
     SetAssocCache cache(smallConfig(), 1);

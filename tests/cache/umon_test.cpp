@@ -184,6 +184,9 @@ TEST(UMon, RejectsBadConfig)
     bad = UMonConfig{};
     bad.samplingRatio = 0;
     EXPECT_THROW(UMonitor{bad}, util::FatalError);
+    bad = UMonConfig{};
+    bad.regionBytes = 0; // no shadow sets to index
+    EXPECT_THROW(UMonitor{bad}, util::FatalError);
 }
 
 } // namespace

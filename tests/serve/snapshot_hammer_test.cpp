@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <thread>
@@ -33,6 +34,9 @@ namespace {
 constexpr std::size_t kMarkets = 8;
 constexpr std::size_t kPlayers = 4;
 constexpr std::uint64_t kTicks = 300;
+constexpr std::uint64_t kMinReads = 1000;
+// A scheduler that never runs the readers fails the test, not hangs it.
+constexpr auto kHammerDeadline = std::chrono::seconds(120);
 
 struct ReaderOutcome
 {
@@ -40,6 +44,8 @@ struct ReaderOutcome
     std::uint64_t torn = 0;
     std::uint64_t errors = 0;
     std::uint64_t staleVersion = 0;
+    /** Reads so far, published for the ticking thread. */
+    std::atomic<std::uint64_t> progress{0};
 };
 
 void
@@ -64,6 +70,7 @@ readerLoop(const serve::ServerCore &core, const std::atomic<bool> &stop,
             continue;
         }
         ++out.reads;
+        out.progress.store(out.reads, std::memory_order_relaxed);
         bool torn = false;
         if (reply.market != m)
             torn = true;
@@ -121,8 +128,34 @@ TEST(SnapshotHammer, ConcurrentReadsNeverTearAcrossTicksAndChurn)
         });
     }
 
+    const auto deadline = std::chrono::steady_clock::now() + kHammerDeadline;
+    const auto pastDeadline = [deadline] {
+        return std::chrono::steady_clock::now() > deadline;
+    };
+    const auto readsSoFar = [&outcomes] {
+        std::uint64_t total = 0;
+        for (const ReaderOutcome &o : outcomes)
+            total += o.progress.load(std::memory_order_relaxed);
+        return total;
+    };
+    // Tick only once every reader is running, so a loaded machine cannot
+    // finish the ticks before the readers are scheduled.
+    const auto allReadersStarted = [&outcomes] {
+        for (const ReaderOutcome &o : outcomes) {
+            if (o.progress.load(std::memory_order_relaxed) == 0)
+                return false;
+        }
+        return true;
+    };
+    while (!allReadersStarted() && !pastDeadline())
+        std::this_thread::yield();
+
+    // At least kTicks ticks, then on until the readers have done enough
+    // reads for the hammer to mean something.
     const std::string churnApp = eval::syntheticAppNames(1, 0xc4)[0];
-    for (std::uint64_t tick = 0; tick < kTicks; ++tick) {
+    std::uint64_t tick = 0;
+    for (; (tick < kTicks || readsSoFar() <= kMinReads) && !pastDeadline();
+         ++tick) {
         if (tick % 10 == 3) {
             // Roster churn concurrent with reads: the rebuild path
             // must keep the old snapshot published while it reshapes.
@@ -155,6 +188,7 @@ TEST(SnapshotHammer, ConcurrentReadsNeverTearAcrossTicksAndChurn)
         EXPECT_EQ(o.staleVersion, 0u);
     }
     // The hammer is meaningless if the readers barely ran.
-    EXPECT_GT(reads, 1000u);
-    EXPECT_EQ(core.epoch(), kTicks + 1);
+    EXPECT_GT(reads, kMinReads);
+    EXPECT_GE(tick, kTicks);
+    EXPECT_EQ(core.epoch(), tick + 1);
 }

@@ -126,6 +126,22 @@ TEST(ZipfGen, HotLinesScatteredAcrossFootprint)
     EXPECT_LT(first_line_hot, 3);
 }
 
+TEST(ZipfGen, RejectsMoreThanUint32Lines)
+{
+    // 2^32 lines (256 GiB): rejected before any table is allocated.
+    const uint64_t lines = uint64_t{UINT32_MAX} + 1;
+    EXPECT_THROW(ZipfWorkingSetGen(0, lines * kLine, kLine, 0.9, 0.0, 1),
+                 util::FatalError);
+}
+
+TEST(ZipfGen, RejectsBadLineSize)
+{
+    EXPECT_THROW(ZipfWorkingSetGen(0, 1024, 0, 0.9, 0.0, 1),
+                 util::FatalError);
+    EXPECT_THROW(ZipfWorkingSetGen(0, 1024, 48, 0.9, 0.0, 1),
+                 util::FatalError);
+}
+
 TEST(ZipfGen, Deterministic)
 {
     ZipfWorkingSetGen a(0, 128 * kLine, kLine, 0.9, 0.1, 4);
@@ -186,6 +202,13 @@ TEST(PointerChase, OrderIsNotSequential)
         prev = cur;
     }
     EXPECT_LT(sequential, 16);
+}
+
+TEST(PointerChase, RejectsMoreThanUint32Lines)
+{
+    const uint64_t lines = uint64_t{UINT32_MAX} + 1;
+    EXPECT_THROW(PointerChaseGen(0, lines * kLine, kLine, 1),
+                 util::FatalError);
 }
 
 TEST(PointerChase, CloneContinuesIdentically)

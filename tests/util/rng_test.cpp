@@ -259,5 +259,12 @@ TEST(Zipf, RejectsNegativeAlpha)
     EXPECT_THROW(ZipfSampler(4, -0.1), FatalError);
 }
 
+TEST(Zipf, RejectsPopulationBeyondUint32)
+{
+    // The guide table stores ranks as uint32_t; the check runs before
+    // anything is allocated.
+    EXPECT_THROW(ZipfSampler(size_t{UINT32_MAX} + 1, 0.9), FatalError);
+}
+
 } // namespace
 } // namespace rebudget::util
