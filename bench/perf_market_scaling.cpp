@@ -143,5 +143,5 @@ BENCHMARK(BM_EqualBudget)->RangeMultiplier(2)->Range(8, 4096)->Complexity();
 BENCHMARK(BM_ReBudget40)->RangeMultiplier(2)->Range(8, 4096)->Complexity();
 BENCHMARK(BM_MaxEfficiencyOracle)
     ->RangeMultiplier(2)
-    ->Range(8, 128)
+    ->Range(8, 512)
     ->Complexity();

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "rebudget/util/logging.h"
 
@@ -108,6 +109,25 @@ greedyFill(const AllocationProblem &problem,
     }
 }
 
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/**
+ * @return the first r >= from with keys[r] > bound, else keys.size().
+ * A function of its own: written inline in the refinement loop, the
+ * scan kept its index on the stack and ran about 4x slower.
+ */
+size_t
+firstAbove(std::span<const double> keys, size_t from, double bound)
+{
+    while (from < keys.size() && !(keys[from] > bound))
+        ++from;
+    return from;
+}
+
 /**
  * Exchange refinement: try moving one quantum between every ordered
  * player pair; accept any exchange that improves total utility.
@@ -127,6 +147,13 @@ greedyFill(const AllocationProblem &problem,
  * every move (tests/core/max_efficiency_reference_test.cpp keeps that
  * climb as the reference).
  *
+ * Most pairs fail the test and write nothing, so a donor passes over a
+ * recipient with one compare when the test must fail and both round
+ * trips are exact (DESIGN §3.4 derives the margin): key(j, r) is the
+ * recipient's cached gain u(x_r + q_j e_j) - u(x_r), or +inf when that
+ * gain is not finite or (x_rj + q_j) - q_j is not x_rj.  Every pair
+ * reached is tested exactly as above, in the same order.
+ *
  * @return the number of accepted exchanges.
  */
 std::int64_t
@@ -134,6 +161,7 @@ refineExchanges(const AllocationProblem &problem,
                 const std::vector<double> &quantum, int passes,
                 util::Matrix<double> &alloc)
 {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
     const size_t n = problem.models.size();
     const size_t m = problem.capacities.size();
 
@@ -142,27 +170,40 @@ refineExchanges(const AllocationProblem &problem,
     // A minus entry is only defined (and only read) while x_ij >= q_j.
     util::Matrix<double> minus(m, n, 0.0);
     util::Matrix<double> plus(m, n, 0.0);
+    util::Matrix<double> key(m, n, kInf);
+    // Largest |u| over the finite utilities evaluated so far.
+    double umax = 0.0;
+    auto track = [&](double v) {
+        if (std::isfinite(v))
+            umax = std::max(umax, std::abs(v));
+        return v;
+    };
+    // Requires u[i] to be current for row i.
     auto evalShifts = [&](size_t i) {
         const market::UtilityModel &model = *problem.models[i];
         const std::span<double> row = alloc[i];
         for (size_t k = 0; k < m; ++k) {
             const double x = row[k];
             row[k] = x + quantum[k];
-            plus(k, i) = model.utility(row);
+            plus(k, i) = track(model.utility(row));
+            const double gain = plus(k, i) - u[i];
+            key(k, i) = std::isfinite(gain) &&
+                                sameBits(row[k] - quantum[k], x)
+                            ? gain
+                            : kInf;
             if (!(x < quantum[k])) {
                 row[k] = x - quantum[k];
-                minus(k, i) = model.utility(row);
+                minus(k, i) = track(model.utility(row));
             }
             row[k] = x;
         }
     };
     auto evalRow = [&](size_t i) {
-        u[i] = problem.models[i]->utility(alloc[i]);
+        u[i] = track(problem.models[i]->utility(alloc[i]));
         evalShifts(i);
     };
     auto storeRoundTrip = [&](size_t i, size_t j, double v) {
-        if (std::bit_cast<std::uint64_t>(v) ==
-            std::bit_cast<std::uint64_t>(alloc(i, j)))
+        if (sameBits(v, alloc(i, j)))
             return;
         alloc(i, j) = v;
         evalRow(i);
@@ -175,9 +216,26 @@ refineExchanges(const AllocationProblem &problem,
         bool improved = false;
         for (size_t j = 0; j < m; ++j) {
             const double q = quantum[j];
+            const std::span<const double> keys = key[j];
+            // The donor tests a recipient only if its key exceeds this
+            // bound: +inf while x_dj < q (no pair is tested), -inf when
+            // the donor's round trip is inexact or its loss is not
+            // finite (every pair is).
+            auto donorBound = [&](size_t d) {
+                const double x = alloc(d, j);
+                if (x < q)
+                    return kInf;
+                const double loss = u[d] - minus(j, d);
+                if (!sameBits((x - q) + q, x) || !std::isfinite(loss))
+                    return -kInf;
+                const double margin = 0x1p-48 * (2.0 * umax + 1e-12);
+                return loss + 1e-12 - margin;
+            };
             for (size_t donor = 0; donor < n; ++donor) {
-                for (size_t rcpt = 0; rcpt < n; ++rcpt) {
-                    if (rcpt == donor || alloc(donor, j) < q)
+                double bound = donorBound(donor);
+                for (size_t rcpt = firstAbove(keys, 0, bound); rcpt < n;
+                     rcpt = firstAbove(keys, rcpt + 1, bound)) {
+                    if (rcpt == donor)
                         continue;
                     const double after = minus(j, donor) + plus(j, rcpt);
                     const double before = u[donor] + u[rcpt];
@@ -196,6 +254,7 @@ refineExchanges(const AllocationProblem &problem,
                         storeRoundTrip(donor, j, (alloc(donor, j) - q) + q);
                         storeRoundTrip(rcpt, j, (alloc(rcpt, j) + q) - q);
                     }
+                    bound = donorBound(donor);
                 }
             }
         }
