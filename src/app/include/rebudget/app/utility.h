@@ -143,14 +143,19 @@ class AppUtilityModel : public market::UtilityModel
                     std::span<const double> alloc) const override;
 
     /**
-     * Both axis slopes from a single grid-cell lookup: the two
-     * marginal() calls share the clamping, the per-axis binary searches
-     * and the four cell corners, so the combined pass does that work
-     * once.  Produces exactly the values of the two marginal() calls
-     * (the bid optimizer's hot path depends on the equivalence).
+     * Both axis slopes from a single grid-cell lookup, forwarded to
+     * market::BilinearSurface::gradient (the formula's only copy).
+     * Produces exactly the values of the two marginal() calls (the bid
+     * optimizer's hot path depends on the equivalence).
      */
     void gradient(std::span<const double> alloc,
                   std::span<double> out) const override;
+
+    /** @return the surface gradient() evaluates (never null). */
+    const market::BilinearSurface *bilinearSurface() const override
+    {
+        return &surface_;
+    }
 
     std::string name() const override { return name_; }
 
@@ -158,16 +163,16 @@ class AppUtilityModel : public market::UtilityModel
     double utilityTotal(double regions, double watts) const;
 
     /** @return guaranteed free cache in regions. */
-    double minRegions() const { return minRegions_; }
+    double minRegions() const { return surface_.min0(); }
 
     /** @return guaranteed free power in watts (min-frequency power). */
-    double minWatts() const { return minWatts_; }
+    double minWatts() const { return surface_.min1(); }
 
     /** @return largest useful total cache in regions. */
-    double maxRegions() const { return cacheKnots_.back(); }
+    double maxRegions() const { return surface_.knots0().back(); }
 
     /** @return power at which the core reaches max frequency (watts). */
-    double maxWatts() const { return powerKnots_.back(); }
+    double maxWatts() const { return surface_.knots1().back(); }
 
     /** @return the app's activity factor (needed to map watts->freq). */
     double activity() const { return activity_; }
@@ -176,10 +181,16 @@ class AppUtilityModel : public market::UtilityModel
     double gridValue(size_t ci, size_t pi) const;
 
     /** @return cache grid knots (total regions). */
-    const std::vector<double> &cacheKnots() const { return cacheKnots_; }
+    const std::vector<double> &cacheKnots() const
+    {
+        return surface_.knots0();
+    }
 
     /** @return power grid knots (total watts). */
-    const std::vector<double> &powerKnots() const { return powerKnots_; }
+    const std::vector<double> &powerKnots() const
+    {
+        return surface_.knots1();
+    }
 
     /**
      * @return Ok, or why the supplied grid was unusable and the model
@@ -194,16 +205,11 @@ class AppUtilityModel : public market::UtilityModel
     }
 
   private:
-    double interpolate(double regions, double watts) const;
-
     std::string name_;
     double activity_ = 1.0;
-    double minRegions_ = 1.0;
-    double minWatts_ = 0.0;
-    std::vector<double> cacheKnots_; // total regions, increasing
-    std::vector<double> powerKnots_; // total watts, increasing
-    // grid_[ci * powerKnots_.size() + pi]
-    std::vector<double> grid_;
+    // Axis 0 = total cache regions, axis 1 = total watts; knots strictly
+    // increasing, samples row-major [ci * powerKnots().size() + pi].
+    market::BilinearSurface surface_;
     util::SolveStatus gridStatus_;
     GridSanitizeReport sanitizeReport_;
 };

@@ -73,41 +73,99 @@ concavifySamples(const std::vector<double> &xs, const std::vector<double> &ys)
     return out;
 }
 
+namespace {
+
+/** @return true if every knot is finite and exceeds the one before. */
+bool
+strictlyIncreasing(const std::vector<double> &knots)
+{
+    for (size_t i = 0; i < knots.size(); ++i) {
+        if (!std::isfinite(knots[i]))
+            return false;
+        if (i > 0 && knots[i] <= knots[i - 1])
+            return false;
+    }
+    return true;
+}
+
+/** Validate an untrusted raw grid; Ok when it can be used as given. */
+util::SolveStatus
+rawGridStatus(const std::string &name, const RawUtilityGrid &raw)
+{
+    if (raw.cacheKnots.size() < 2 || raw.powerKnots.size() < 2) {
+        return util::SolveStatus::error(
+            util::StatusCode::InvalidArgument,
+            "raw grid '%s' needs >= 2 knots per axis (got %zu x %zu)",
+            name.c_str(), raw.cacheKnots.size(), raw.powerKnots.size());
+    }
+    if (!strictlyIncreasing(raw.cacheKnots) ||
+        !strictlyIncreasing(raw.powerKnots)) {
+        return util::SolveStatus::error(
+            util::StatusCode::InvalidArgument,
+            "raw grid '%s' knots must be finite and strictly increasing",
+            name.c_str());
+    }
+    if (raw.grid.size() != raw.cacheKnots.size() * raw.powerKnots.size()) {
+        return util::SolveStatus::error(
+            util::StatusCode::InvalidArgument,
+            "raw grid '%s' has %zu cells, expected %zu x %zu",
+            name.c_str(), raw.grid.size(), raw.cacheKnots.size(),
+            raw.powerKnots.size());
+    }
+    if (!std::isfinite(raw.minRegions) || raw.minRegions < 0.0 ||
+        !std::isfinite(raw.minWatts) || raw.minWatts < 0.0 ||
+        !std::isfinite(raw.activity) || raw.activity <= 0.0) {
+        return util::SolveStatus::error(
+            util::StatusCode::InvalidArgument,
+            "raw grid '%s' has malformed minimums or activity",
+            name.c_str());
+    }
+    return util::SolveStatus();
+}
+
+} // namespace
+
 AppUtilityModel::AppUtilityModel(const AppProfile &profile,
                                  const power::PowerModel &power,
                                  const UtilityGridOptions &options)
-    : name_(profile.params.name), activity_(profile.params.activity),
-      minRegions_(options.minRegions)
+    : name_(profile.params.name), activity_(profile.params.activity)
 {
     if (options.cacheRegions.size() < 2 || options.freqsGhz.size() < 2)
         util::fatal("utility grid needs at least 2 points per axis");
-    cacheKnots_ = options.cacheRegions;
-    if (!std::is_sorted(cacheKnots_.begin(), cacheKnots_.end()))
-        util::fatal("cache grid must be sorted");
+    // A repeated knot would make a zero-width cell (a divide by zero in
+    // every slope), and the cell lookup presumes ordered knots.
+    if (!strictlyIncreasing(options.cacheRegions))
+        util::fatal("cache grid must be finite and strictly increasing");
+    if (!strictlyIncreasing(options.freqsGhz))
+        util::fatal("frequency grid must be finite and strictly increasing");
+    std::vector<double> cache_knots = options.cacheRegions;
 
     // Power knots: watts at each sampled frequency (strictly increasing
     // because core power is strictly increasing in frequency).
-    powerKnots_.reserve(options.freqsGhz.size());
+    std::vector<double> power_knots;
+    power_knots.reserve(options.freqsGhz.size());
     for (double f : options.freqsGhz)
-        powerKnots_.push_back(power.corePower(f, activity_));
-    minWatts_ = powerKnots_.front();
+        power_knots.push_back(power.corePower(f, activity_));
+    if (!strictlyIncreasing(power_knots))
+        util::fatal("app '%s' power grid is not strictly increasing",
+                    name_.c_str());
 
     // Sample the 90-point utility grid: performance normalized to the
     // run-alone configuration (all monitored cache, max frequency).
-    const size_t nc = cacheKnots_.size();
-    const size_t np = powerKnots_.size();
+    const size_t nc = cache_knots.size();
+    const size_t np = power_knots.size();
     const bool hull = options.convexify;
     const double perf_alone =
         profile.perfAlone(options.freqsGhz.back(), hull);
     if (perf_alone <= 0.0)
         util::fatal("app '%s' has zero run-alone performance",
                     name_.c_str());
-    grid_.assign(nc * np, 0.0);
+    std::vector<double> grid(nc * np, 0.0);
     for (size_t ci = 0; ci < nc; ++ci) {
         for (size_t pi = 0; pi < np; ++pi) {
             const double perf = profile.perfAt(
-                cacheKnots_[ci], options.freqsGhz[pi], hull);
-            grid_[ci * np + pi] = perf / perf_alone;
+                cache_knots[ci], options.freqsGhz[pi], hull);
+            grid[ci * np + pi] = perf / perf_alone;
         }
     }
 
@@ -119,23 +177,23 @@ AppUtilityModel::AppUtilityModel(const AppProfile &profile,
             for (size_t pi = 0; pi < np; ++pi) { // along cache
                 std::vector<double> col(nc);
                 for (size_t ci = 0; ci < nc; ++ci)
-                    col[ci] = grid_[ci * np + pi];
-                const auto fixed = concavifySamples(cacheKnots_, col);
+                    col[ci] = grid[ci * np + pi];
+                const auto fixed = concavifySamples(cache_knots, col);
                 for (size_t ci = 0; ci < nc; ++ci) {
                     if (fixed[ci] > col[ci] + 1e-12)
                         changed = true;
-                    grid_[ci * np + pi] = fixed[ci];
+                    grid[ci * np + pi] = fixed[ci];
                 }
             }
             for (size_t ci = 0; ci < nc; ++ci) { // along power
                 std::vector<double> row(np);
                 for (size_t pi = 0; pi < np; ++pi)
-                    row[pi] = grid_[ci * np + pi];
-                const auto fixed = concavifySamples(powerKnots_, row);
+                    row[pi] = grid[ci * np + pi];
+                const auto fixed = concavifySamples(power_knots, row);
                 for (size_t pi = 0; pi < np; ++pi) {
                     if (fixed[pi] > row[pi] + 1e-12)
                         changed = true;
-                    grid_[ci * np + pi] = fixed[pi];
+                    grid[ci * np + pi] = fixed[pi];
                 }
             }
             if (!changed)
@@ -144,123 +202,45 @@ AppUtilityModel::AppUtilityModel(const AppProfile &profile,
     }
     // Monotone non-decreasing along both axes plus NaN/negative guards
     // (the latter are no-ops for profile-sampled grids).
-    sanitizeReport_ = sanitizeUtilityGrid(grid_, nc, np);
+    sanitizeReport_ = sanitizeUtilityGrid(grid, nc, np);
+    const double min_watts = power_knots.front();
+    surface_ = market::BilinearSurface(std::move(cache_knots),
+                                       std::move(power_knots),
+                                       std::move(grid), options.minRegions,
+                                       min_watts);
 }
 
 AppUtilityModel::AppUtilityModel(RawUtilityGrid raw)
     : name_(std::move(raw.name)), activity_(raw.activity),
-      minRegions_(raw.minRegions), minWatts_(raw.minWatts),
-      cacheKnots_(std::move(raw.cacheKnots)),
-      powerKnots_(std::move(raw.powerKnots)), grid_(std::move(raw.grid))
+      gridStatus_(rawGridStatus(name_, raw))
 {
-    // Untrusted input: degrade to a flat zero surface over a minimal
-    // valid grid instead of fataling, and say why in gridStatus().
-    const auto degrade = [this](util::SolveStatus status) {
-        gridStatus_ = std::move(status);
-        if (!std::isfinite(minRegions_) || minRegions_ < 0.0)
-            minRegions_ = 1.0;
-        if (!std::isfinite(minWatts_) || minWatts_ < 0.0)
-            minWatts_ = 0.0;
+    if (gridStatus_.ok()) {
+        sanitizeReport_ = sanitizeUtilityGrid(
+            raw.grid, raw.cacheKnots.size(), raw.powerKnots.size());
+    } else {
+        // Untrusted input: degrade to a flat zero surface over a
+        // minimal valid grid instead of fataling; gridStatus() says why.
+        if (!std::isfinite(raw.minRegions) || raw.minRegions < 0.0)
+            raw.minRegions = 1.0;
+        if (!std::isfinite(raw.minWatts) || raw.minWatts < 0.0)
+            raw.minWatts = 0.0;
         if (!std::isfinite(activity_) || activity_ <= 0.0)
             activity_ = 1.0;
-        cacheKnots_ = {minRegions_, minRegions_ + 1.0};
-        powerKnots_ = {minWatts_, minWatts_ + 1.0};
-        grid_.assign(4, 0.0);
-        sanitizeReport_ = GridSanitizeReport{};
+        raw.cacheKnots = {raw.minRegions, raw.minRegions + 1.0};
+        raw.powerKnots = {raw.minWatts, raw.minWatts + 1.0};
+        raw.grid.assign(4, 0.0);
         sanitizeReport_.flatGrid = true;
-    };
-
-    const auto strictly_increasing = [](const std::vector<double> &knots) {
-        for (size_t i = 0; i < knots.size(); ++i) {
-            if (!std::isfinite(knots[i]))
-                return false;
-            if (i > 0 && knots[i] <= knots[i - 1])
-                return false;
-        }
-        return true;
-    };
-
-    if (cacheKnots_.size() < 2 || powerKnots_.size() < 2) {
-        degrade(util::SolveStatus::error(
-            util::StatusCode::InvalidArgument,
-            "raw grid '%s' needs >= 2 knots per axis (got %zu x %zu)",
-            name_.c_str(), cacheKnots_.size(), powerKnots_.size()));
-        return;
     }
-    if (!strictly_increasing(cacheKnots_) ||
-        !strictly_increasing(powerKnots_)) {
-        degrade(util::SolveStatus::error(
-            util::StatusCode::InvalidArgument,
-            "raw grid '%s' knots must be finite and strictly increasing",
-            name_.c_str()));
-        return;
-    }
-    if (grid_.size() != cacheKnots_.size() * powerKnots_.size()) {
-        degrade(util::SolveStatus::error(
-            util::StatusCode::InvalidArgument,
-            "raw grid '%s' has %zu cells, expected %zu x %zu",
-            name_.c_str(), grid_.size(), cacheKnots_.size(),
-            powerKnots_.size()));
-        return;
-    }
-    if (!std::isfinite(minRegions_) || minRegions_ < 0.0 ||
-        !std::isfinite(minWatts_) || minWatts_ < 0.0 ||
-        !std::isfinite(activity_) || activity_ <= 0.0) {
-        degrade(util::SolveStatus::error(
-            util::StatusCode::InvalidArgument,
-            "raw grid '%s' has malformed minimums or activity",
-            name_.c_str()));
-        return;
-    }
-    sanitizeReport_ =
-        sanitizeUtilityGrid(grid_, cacheKnots_.size(), powerKnots_.size());
-}
-
-namespace {
-
-// Index of the cell containing x: largest i with knots[i] <= x, clamped
-// to [0, n-2] so that i+1 is always valid.
-size_t
-cellIndex(const std::vector<double> &knots, double x)
-{
-    const auto it =
-        std::upper_bound(knots.begin(), knots.end(), x);
-    size_t i = it == knots.begin()
-                   ? 0
-                   : static_cast<size_t>(it - knots.begin()) - 1;
-    return std::min(i, knots.size() - 2);
-}
-
-} // namespace
-
-double
-AppUtilityModel::interpolate(double regions, double watts) const
-{
-    const double c =
-        std::clamp(regions, cacheKnots_.front(), cacheKnots_.back());
-    const double p =
-        std::clamp(watts, powerKnots_.front(), powerKnots_.back());
-    const size_t ci = cellIndex(cacheKnots_, c);
-    const size_t pi = cellIndex(powerKnots_, p);
-    const size_t np = powerKnots_.size();
-    const double tx = (c - cacheKnots_[ci]) /
-                      (cacheKnots_[ci + 1] - cacheKnots_[ci]);
-    const double ty = (p - powerKnots_[pi]) /
-                      (powerKnots_[pi + 1] - powerKnots_[pi]);
-    const double u00 = grid_[ci * np + pi];
-    const double u01 = grid_[ci * np + pi + 1];
-    const double u10 = grid_[(ci + 1) * np + pi];
-    const double u11 = grid_[(ci + 1) * np + pi + 1];
-    return (1.0 - tx) * ((1.0 - ty) * u00 + ty * u01) +
-           tx * ((1.0 - ty) * u10 + ty * u11);
+    surface_ = market::BilinearSurface(
+        std::move(raw.cacheKnots), std::move(raw.powerKnots),
+        std::move(raw.grid), raw.minRegions, raw.minWatts);
 }
 
 double
 AppUtilityModel::utility(std::span<const double> alloc) const
 {
     REBUDGET_ASSERT(alloc.size() == 2, "expected 2-resource allocation");
-    return interpolate(minRegions_ + std::max(0.0, alloc[kCache]),
-                       minWatts_ + std::max(0.0, alloc[kPower]));
+    return surface_.utility(alloc[kCache], alloc[kPower]);
 }
 
 double
@@ -269,31 +249,7 @@ AppUtilityModel::marginal(size_t resource,
 {
     REBUDGET_ASSERT(alloc.size() == 2, "expected 2-resource allocation");
     REBUDGET_ASSERT(resource < 2, "resource out of range");
-    const double c = minRegions_ + std::max(0.0, alloc[kCache]);
-    const double p = minWatts_ + std::max(0.0, alloc[kPower]);
-    if (resource == kCache && c >= cacheKnots_.back())
-        return 0.0;
-    if (resource == kPower && p >= powerKnots_.back())
-        return 0.0;
-    const double cc = std::clamp(c, cacheKnots_.front(), cacheKnots_.back());
-    const double pp = std::clamp(p, powerKnots_.front(), powerKnots_.back());
-    const size_t ci = cellIndex(cacheKnots_, cc);
-    const size_t pi = cellIndex(powerKnots_, pp);
-    const size_t np = powerKnots_.size();
-    const double u00 = grid_[ci * np + pi];
-    const double u01 = grid_[ci * np + pi + 1];
-    const double u10 = grid_[(ci + 1) * np + pi];
-    const double u11 = grid_[(ci + 1) * np + pi + 1];
-    if (resource == kCache) {
-        const double ty = (pp - powerKnots_[pi]) /
-                          (powerKnots_[pi + 1] - powerKnots_[pi]);
-        const double dx = cacheKnots_[ci + 1] - cacheKnots_[ci];
-        return ((u10 - u00) * (1.0 - ty) + (u11 - u01) * ty) / dx;
-    }
-    const double tx = (cc - cacheKnots_[ci]) /
-                      (cacheKnots_[ci + 1] - cacheKnots_[ci]);
-    const double dy = powerKnots_[pi + 1] - powerKnots_[pi];
-    return ((u01 - u00) * (1.0 - tx) + (u11 - u10) * tx) / dy;
+    return surface_.marginal(resource, alloc[kCache], alloc[kPower]);
 }
 
 void
@@ -302,51 +258,23 @@ AppUtilityModel::gradient(std::span<const double> alloc,
 {
     REBUDGET_ASSERT(alloc.size() == 2, "expected 2-resource allocation");
     REBUDGET_ASSERT(out.size() == 2, "expected 2-resource gradient");
-    // Straight-line form for the solver hot path: one shared cell
-    // lookup, both axis slopes computed unconditionally, saturation
-    // applied as selects at the end (no early-out branch ladder).
-    // Each output equals what the per-axis branches produced: a
-    // saturated axis publishes literal 0.0, an unsaturated one the
-    // same slope expression over the same cell.
-    const double c = minRegions_ + std::max(0.0, alloc[kCache]);
-    const double p = minWatts_ + std::max(0.0, alloc[kPower]);
-    const bool cache_sat = c >= cacheKnots_.back();
-    const bool power_sat = p >= powerKnots_.back();
-    const double cc = std::clamp(c, cacheKnots_.front(), cacheKnots_.back());
-    const double pp = std::clamp(p, powerKnots_.front(), powerKnots_.back());
-    const size_t ci = cellIndex(cacheKnots_, cc);
-    const size_t pi = cellIndex(powerKnots_, pp);
-    const size_t np = powerKnots_.size();
-    const double u00 = grid_[ci * np + pi];
-    const double u01 = grid_[ci * np + pi + 1];
-    const double u10 = grid_[(ci + 1) * np + pi];
-    const double u11 = grid_[(ci + 1) * np + pi + 1];
-    const double ty = (pp - powerKnots_[pi]) /
-                      (powerKnots_[pi + 1] - powerKnots_[pi]);
-    const double dx = cacheKnots_[ci + 1] - cacheKnots_[ci];
-    const double slope_c =
-        ((u10 - u00) * (1.0 - ty) + (u11 - u01) * ty) / dx;
-    const double tx = (cc - cacheKnots_[ci]) /
-                      (cacheKnots_[ci + 1] - cacheKnots_[ci]);
-    const double dy = powerKnots_[pi + 1] - powerKnots_[pi];
-    const double slope_p =
-        ((u01 - u00) * (1.0 - tx) + (u11 - u10) * tx) / dy;
-    out[kCache] = cache_sat ? 0.0 : slope_c;
-    out[kPower] = power_sat ? 0.0 : slope_p;
+    surface_.gradient(alloc[kCache], alloc[kPower], out[kCache],
+                      out[kPower]);
 }
 
 double
 AppUtilityModel::utilityTotal(double regions, double watts) const
 {
-    return interpolate(regions, watts);
+    return surface_.valueAt(regions, watts);
 }
 
 double
 AppUtilityModel::gridValue(size_t ci, size_t pi) const
 {
-    REBUDGET_ASSERT(ci < cacheKnots_.size() && pi < powerKnots_.size(),
+    const size_t np = surface_.knots1().size();
+    REBUDGET_ASSERT(ci < surface_.knots0().size() && pi < np,
                     "grid index out of range");
-    return grid_[ci * powerKnots_.size() + pi];
+    return surface_.values()[ci * np + pi];
 }
 
 } // namespace rebudget::app

@@ -41,8 +41,9 @@ struct ReBudgetConfig
      */
     double step0 = 20.0;
     /**
-     * Lowest acceptable envy-freeness; when >= 0 the step and budget
-     * floor are derived from it via Theorem 2 (ByFairnessTarget mode).
+     * Lowest acceptable envy-freeness, in [0, 1]; when >= 0 the step
+     * and budget floor are derived from it via Theorem 2
+     * (ByFairnessTarget mode).  Negative selects the explicit step.
      */
     double efTarget = -1.0;
     /**
@@ -65,7 +66,7 @@ struct ReBudgetConfig
     double guardrailFloor = 0.05;
     /** Players with lambda_i below this fraction of max lambda are cut. */
     double lambdaCutThreshold = 0.5;
-    /** Stop when step < this fraction of the initial budget. */
+    /** Stop when step < this fraction of the initial budget, in [0, 1). */
     double minStepFraction = 0.01;
     /** Safety cap on budget-reassignment rounds. */
     int maxRounds = 16;

@@ -15,16 +15,22 @@ namespace {
 using util::SolveStatus;
 using util::StatusCode;
 
-/** Validate a ReBudget config; Ok when allocate() may run. */
+/**
+ * Validate a ReBudget config; Ok when allocate() may run.  Every range
+ * check is negated (!(in range)), so a NaN fails it instead of slipping
+ * past every plain comparison.
+ */
 SolveStatus
 validateReBudgetConfig(const ReBudgetConfig &config)
 {
-    if (config.initialBudget <= 0.0) {
-        return SolveStatus::error(StatusCode::InvalidArgument,
-                                  "ReBudget initial budget must be positive");
+    if (!(config.initialBudget > 0.0 &&
+          std::isfinite(config.initialBudget))) {
+        return SolveStatus::error(
+            StatusCode::InvalidArgument,
+            "ReBudget initial budget must be finite and positive");
     }
-    if (config.lambdaCutThreshold <= 0.0 ||
-        config.lambdaCutThreshold >= 1.0) {
+    if (!(config.lambdaCutThreshold > 0.0 &&
+          config.lambdaCutThreshold < 1.0)) {
         return SolveStatus::error(StatusCode::InvalidArgument,
                                   "lambdaCutThreshold must be in (0, 1)");
     }
@@ -32,24 +38,35 @@ validateReBudgetConfig(const ReBudgetConfig &config)
         return SolveStatus::error(StatusCode::InvalidArgument,
                                   "maxRounds must be positive");
     }
-    if (config.elideStepFraction < 0.0 ||
-        config.elideStepFraction >= 0.5) {
+    if (!(config.minStepFraction >= 0.0 && config.minStepFraction < 1.0)) {
+        return SolveStatus::error(StatusCode::InvalidArgument,
+                                  "minStepFraction must be in [0, 1)");
+    }
+    if (!(config.elideStepFraction >= 0.0 &&
+          config.elideStepFraction < 0.5)) {
         return SolveStatus::error(StatusCode::InvalidArgument,
                                   "elideStepFraction must be in [0, 0.5)");
     }
-    if (config.guardrailFloor < 0.0 || config.guardrailFloor >= 1.0) {
+    if (!(config.guardrailFloor >= 0.0 && config.guardrailFloor < 1.0)) {
         return SolveStatus::error(StatusCode::InvalidArgument,
                                   "guardrailFloor must be in [0, 1)");
     }
+    // efTarget selects the mode: negative = explicit step, [0, 1] = an
+    // envy-freeness target.
+    if (!(config.efTarget <= 1.0)) {
+        return SolveStatus::error(
+            StatusCode::InvalidArgument,
+            "efTarget must be negative (step mode) or in [0, 1]");
+    }
     if (config.efTarget < 0.0) {
-        if (config.step0 <= 0.0 ||
-            config.step0 >= config.initialBudget / 2.0) {
+        if (!(config.step0 > 0.0 &&
+              config.step0 < config.initialBudget / 2.0)) {
             return SolveStatus::error(
                 StatusCode::InvalidArgument,
                 "ReBudget step0 must be in (0, B/2) = (0, %f)",
                 config.initialBudget / 2.0);
         }
-        if (config.mbrFloor < 0.0 || config.mbrFloor > 1.0) {
+        if (!(config.mbrFloor >= 0.0 && config.mbrFloor <= 1.0)) {
             return SolveStatus::error(StatusCode::InvalidArgument,
                                       "mbrFloor must be in [0, 1]");
         }

@@ -22,25 +22,6 @@ predictAll(std::span<const double> bids, std::span<const double> others,
 } // namespace
 
 double
-priceResponse(double bid, double others_bids, double capacity)
-{
-    const double y = std::max(others_bids, kMinCompetingBid);
-    const double b = std::max(bid, 0.0);
-    const double denom = (b + y) * (b + y);
-    return capacity * y / denom;
-}
-
-double
-predictedAllocation(double bid, double others_bids, double capacity)
-{
-    if (bid <= 0.0)
-        return 0.0;
-    if (others_bids <= 0.0)
-        return capacity;
-    return bid / (bid + others_bids) * capacity;
-}
-
-double
 bidMarginal(const UtilityModel &model, size_t resource,
             std::span<const double> bids, std::span<const double> others,
             std::span<const double> capacities)
@@ -100,6 +81,16 @@ optimizeBidsInto(const UtilityModel &model, double budget,
             result.lambdas.assign(m, 0.0);
             return;
         }
+    }
+    if (m == 2) {
+        const HillClimbPairReply r = hillClimbPair(
+            model, model.bilinearSurface(), budget, initial, others[0],
+            others[1], capacities[0], capacities[1], config);
+        result.bids.assign({r.b0, r.b1});
+        result.lambdas.assign({r.l0, r.l1});
+        result.lambda = r.lambda;
+        result.steps = r.steps;
+        return;
     }
     if (initial != nullptr)
         result.bids.assign(initial, initial + m);

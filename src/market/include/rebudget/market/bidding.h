@@ -19,7 +19,9 @@
  * price-response slopes dr_j/db_j incrementally (refreshing only the two
  * touched entries) and evaluates all marginal utilities through one
  * UtilityModel::gradient() call per step, instead of recomputing every
- * predicted allocation for every resource (O(M^2) per step).
+ * predicted allocation for every resource (O(M^2) per step).  For
+ * M == 2 (every CMP market) the climb runs in registers instead
+ * (hillClimbPair), evaluating a bilinear surface's gradient inline.
  */
 
 #include <algorithm>
@@ -99,7 +101,15 @@ struct BidScratch
  * (Equation 2): r = b / (b + y) * C, with the conventions r = C when the
  * player is the sole bidder (y = 0, b > 0) and r = 0 when b = 0.
  */
-double predictedAllocation(double bid, double others_bids, double capacity);
+inline double
+predictedAllocation(double bid, double others_bids, double capacity)
+{
+    if (bid <= 0.0)
+        return 0.0;
+    if (others_bids <= 0.0)
+        return capacity;
+    return bid / (bid + others_bids) * capacity;
+}
 
 /**
  * @return the price response dr_j/db_j = C_j * y_j / (b_j + y_j)^2 of the
@@ -107,7 +117,14 @@ double predictedAllocation(double bid, double others_bids, double capacity);
  * hill climber applies (avoids an infinite marginal on an unbid
  * resource).
  */
-double priceResponse(double bid, double others_bids, double capacity);
+inline double
+priceResponse(double bid, double others_bids, double capacity)
+{
+    const double y = std::max(others_bids, kMinCompetingBid);
+    const double b = std::max(bid, 0.0);
+    const double denom = (b + y) * (b + y);
+    return capacity * y / denom;
+}
 
 /**
  * @return lambda_j = dU/db_j at the given bids via the chain rule
@@ -138,6 +155,9 @@ BidResult optimizeBids(const UtilityModel &model, double budget,
 /**
  * Allocation-free core of optimizeBids: writes into `result` (reusing
  * its vector capacity) with scratch buffers supplied by the caller.
+ * Two-resource models (every CMP market) are answered by hillClimbPair
+ * after the arity and budget checks; the generic loop serves every
+ * other resource count.
  *
  * @param initial  optional warm-start bids (length M, non-negative,
  *                 summing to the budget).  When null the climber starts
@@ -154,6 +174,168 @@ void optimizeBidsInto(const UtilityModel &model, double budget,
                       const BidOptimizerConfig &config,
                       const double *initial, BidResult &result,
                       BidScratch &scratch);
+
+/** Result of the m == 2 hill climb (see hillClimbPair). */
+struct HillClimbPairReply
+{
+    /** Optimized bids; they sum to the budget. */
+    double b0 = 0.0, b1 = 0.0;
+    /** Per-resource lambdas at the final bids. */
+    double l0 = 0.0, l1 = 0.0;
+    /** The player's lambda_i: max over per-resource lambdas. */
+    double lambda = 0.0;
+    /** Hill-climbing steps taken. */
+    int steps = 0;
+};
+
+/**
+ * hillClimbPair over any gradient callable g(r0, r1, g0, g1).  The
+ * whole climb lives in locals: bids, predicted shares, price responses
+ * and lambdas.
+ */
+template <class Gradient>
+inline HillClimbPairReply
+hillClimbPairWith(const Gradient &gradient, double budget,
+                  const double *initial, double o0, double o1, double c0,
+                  double c1, const BidOptimizerConfig &config)
+{
+    double b0, b1;
+    if (initial != nullptr) {
+        b0 = initial[0];
+        b1 = initial[1];
+    } else {
+        b0 = budget / 2.0;
+        b1 = budget / 2.0;
+    }
+    double r0 = predictedAllocation(b0, o0, c0);
+    double r1 = predictedAllocation(b1, o1, c1);
+    double d0 = priceResponse(b0, o0, c0);
+    double d1 = priceResponse(b1, o1, c1);
+    double l0, l1;
+    const auto compute_lambdas = [&]() {
+        double g0, g1;
+        gradient(r0, r1, g0, g1);
+        l0 = g0 * d0;
+        l1 = g1 * d1;
+    };
+
+    int steps = 0;
+    if (budget <= 0.0) {
+        compute_lambdas();
+    } else {
+        const double shift_cap = budget / 2.0 / 2.0;
+        const double min_shift = config.minShiftFraction * budget;
+        double shift = initial != nullptr ? std::min(min_shift, shift_cap)
+                                          : shift_cap;
+        bool expanding = initial != nullptr;
+        // Resource that received money on the previous step, -1 before
+        // the first: with two resources the receiver fixes the donor.
+        int prev_jmax = -1;
+        bool lambdas_current = false;
+        for (int step = 0; step < config.maxSteps; ++step) {
+            compute_lambdas();
+            lambdas_current = true;
+            // Highest lambda receives (ties keep resource 0); the donor
+            // is the lowest-lambda resource with a positive bid (ties
+            // keep resource 0 too).
+            const int jmax = l1 > l0 ? 1 : 0;
+            int jmin;
+            if (b0 > 0.0)
+                jmin = b1 > 0.0 && l1 < l0 ? 1 : 0;
+            else
+                jmin = b1 > 0.0 ? 1 : -1;
+            if (jmin < 0 || jmin == jmax)
+                break;
+            const double lmax = jmax == 1 ? l1 : l0;
+            const double lmin = jmax == 1 ? l0 : l1;
+            if (lmax <= 0.0 || (lmax - lmin) <= config.lambdaTol * lmax)
+                break; // condition (a): lambdas agree within tolerance
+            if (expanding && prev_jmax >= 0 && jmax != prev_jmax)
+                expanding = false; // direction flipped: start contracting
+            prev_jmax = jmax;
+            if (jmax == 1) {
+                const double amount = std::min(shift, b0);
+                b0 -= amount;
+                b1 += amount;
+            } else {
+                const double amount = std::min(shift, b1);
+                b1 -= amount;
+                b0 += amount;
+            }
+            r0 = predictedAllocation(b0, o0, c0);
+            r1 = predictedAllocation(b1, o1, c1);
+            d0 = priceResponse(b0, o0, c0);
+            d1 = priceResponse(b1, o1, c1);
+            lambdas_current = false;
+            ++steps;
+            if (expanding) {
+                shift *= 2.0;
+                if (shift >= shift_cap) {
+                    shift = shift_cap;
+                    expanding = false;
+                }
+            } else {
+                shift *= 0.5;
+                if (shift < min_shift)
+                    break; // condition (b): shift below 1% of budget
+            }
+        }
+        if (!lambdas_current)
+            compute_lambdas();
+    }
+
+    HillClimbPairReply out;
+    out.b0 = b0;
+    out.b1 = b1;
+    out.l0 = l0;
+    out.l1 = l1;
+    out.lambda = l0 < l1 ? l1 : l0; // std::max_element's pick, NaN too
+    out.steps = steps;
+    return out;
+}
+
+/**
+ * The hill climb for m == 2 (every CMP market: cache + power), the only
+ * implementation of a two-resource reply.  It is optimizeBidsInto's
+ * generic loop specialized expression for expression -- the same
+ * seeds, shift schedule, stop tests and tie rules, the same FP
+ * operations in the same order -- so its bids, lambdas and step counts
+ * are bit-identical to the generic climb's.  What changes is where the
+ * state lives: the market's Gauss-Seidel sweep is one serial chain
+ * (each reply reads the column sums the previous reply wrote), and
+ * keeping the climb in registers takes the scratch-vector round trips
+ * off that chain.  When `surface` is non-null (the model's
+ * bilinearSurface()), its gradient is evaluated inline instead of
+ * through the virtual gradient().
+ *
+ * @param budget   the player's budget (>= 0; callers clamp FP-noise
+ *                 negatives and reject real ones first)
+ * @param initial  warm-start bids {b0, b1}, or null for the equal split
+ * @param o0, o1   competing bids per resource
+ * @param c0, c1   capacities per resource
+ */
+inline HillClimbPairReply
+hillClimbPair(const UtilityModel &model, const BilinearSurface *surface,
+              double budget, const double *initial, double o0, double o1,
+              double c0, double c1, const BidOptimizerConfig &config)
+{
+    if (surface != nullptr) {
+        return hillClimbPairWith(
+            [surface](double r0, double r1, double &g0, double &g1) {
+                surface->gradient(r0, r1, g0, g1);
+            },
+            budget, initial, o0, o1, c0, c1, config);
+    }
+    return hillClimbPairWith(
+        [&model](double r0, double r1, double &g0, double &g1) {
+            const double alloc[2] = {r0, r1};
+            double grad[2];
+            model.gradient(alloc, grad);
+            g0 = grad[0];
+            g1 = grad[1];
+        },
+        budget, initial, o0, o1, c0, c1, config);
+}
 
 /**
  * Price-anticipating closed-form best response (Feldman, Lai and

@@ -199,7 +199,10 @@ class ProportionalMarket
      *
      * A malformed setup (empty players/resources, null model, arity
      * mismatch, a capacity that is not finite and positive, or a
-     * non-positive maxIterations) does not throw:
+     * config field out of range: a non-positive maxIterations, a
+     * priceTol, bid.lambdaTol or bid.minShiftFraction that is NaN,
+     * infinite or negative, a negative bid.maxSteps, or a
+     * bestResponseDamping outside (0, 1]) does not throw:
      * it is recorded in setupStatus() and every subsequent solve
      * returns that status without running.
      */
@@ -339,6 +342,13 @@ class ProportionalMarket
      * entries fall back to the virtual gradientFast() reply.
      */
     std::vector<const double *> hotQuads_;
+    /**
+     * Per-player UtilityModel::bilinearSurface() pointers, cached at
+     * construction like hotQuads_: the two-resource hill climb and the
+     * rescale evaluate a non-null surface's gradient inline, and call
+     * the virtual gradient() for nullptr entries.
+     */
+    std::vector<const BilinearSurface *> surfaces_;
 };
 
 /**

@@ -13,6 +13,7 @@
  * via Talus to meet the concavity requirement.
  */
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,6 +21,167 @@
 #include "rebudget/util/status.h"
 
 namespace rebudget::market {
+
+/**
+ * Bilinear interpolant over a rectangular two-resource grid: the shape
+ * of every catalog application utility (app::AppUtilityModel, cache x
+ * power).  Inputs are *extras* above per-axis guaranteed minimums;
+ * negative extras count as zero, coordinates clamp to the knot range,
+ * and a saturated axis (total at or past its last knot) has slope 0.
+ *
+ * A value type that owns its knots and samples, so copying a model that
+ * holds one never leaves a pointer into another model's storage.  The
+ * gradient is inline: the market's two-resource hill climb
+ * (hillClimbPair in bidding.h) evaluates it in place of a virtual
+ * UtilityModel::gradient() call on every step.
+ *
+ * Knots must be non-decreasing per axis with >= 2 entries (owners
+ * validate; AppUtilityModel requires them finite and strictly
+ * increasing).  A default-constructed surface is empty and must not be
+ * evaluated.
+ */
+class BilinearSurface
+{
+  public:
+    BilinearSurface() = default;
+
+    /**
+     * @param knots0  axis-0 knots in total units (>= 2, increasing)
+     * @param knots1  axis-1 knots in total units (>= 2, increasing)
+     * @param values  row-major samples, values[i0 * knots1.size() + i1]
+     * @param min0    guaranteed axis-0 amount added to every allocation
+     * @param min1    guaranteed axis-1 amount added to every allocation
+     */
+    BilinearSurface(std::vector<double> knots0, std::vector<double> knots1,
+                    std::vector<double> values, double min0, double min1);
+
+    /** Interpolated value at *total* (x0, x1), clamped to the grid. */
+    double valueAt(double x0, double x1) const
+    {
+        const Cell cell = locate(x0, x1);
+        const double tx = (cell.x0 - cell.k0[0]) / (cell.k0[1] - cell.k0[0]);
+        const double ty = (cell.x1 - cell.k1[0]) / (cell.k1[1] - cell.k1[0]);
+        return (1.0 - tx) * ((1.0 - ty) * cell.u00 + ty * cell.u01) +
+               tx * ((1.0 - ty) * cell.u10 + ty * cell.u11);
+    }
+
+    /** Value at the extras (a0, a1) above the minimums. */
+    double utility(double a0, double a1) const
+    {
+        return valueAt(min0_ + std::max(0.0, a0), min1_ + std::max(0.0, a1));
+    }
+
+    /** One component of gradient(), computing only that axis. */
+    double marginal(size_t axis, double a0, double a1) const
+    {
+        const double c = min0_ + std::max(0.0, a0);
+        const double p = min1_ + std::max(0.0, a1);
+        const Cell cell = locate(c, p);
+        if (axis == 0)
+            return c >= knots0_.back() ? 0.0 : slope0(cell);
+        return p >= knots1_.back() ? 0.0 : slope1(cell);
+    }
+
+    /**
+     * Both axis slopes at the extras (a0, a1) from one shared cell
+     * lookup.  Both slopes are computed unconditionally and saturation
+     * is applied as selects at the end: a saturated axis (total at or
+     * past its last knot) publishes a literal 0.0, an unsaturated one
+     * the slope over its cell.
+     */
+    void gradient(double a0, double a1, double &g0, double &g1) const
+    {
+        const double c = min0_ + std::max(0.0, a0);
+        const double p = min1_ + std::max(0.0, a1);
+        const Cell cell = locate(c, p);
+        const double s0 = slope0(cell);
+        const double s1 = slope1(cell);
+        g0 = c >= knots0_.back() ? 0.0 : s0;
+        g1 = p >= knots1_.back() ? 0.0 : s1;
+    }
+
+    /**
+     * Index of the cell containing x among n >= 2 knots, in [0, n-2]:
+     * the count of interior knots k[1..n-2] with !(x < k[t]).  For
+     * non-decreasing knots this equals the clamped upper_bound(x) - 1
+     * for every x, NaN included (a NaN compares false, so it lands in
+     * the last cell either way), without the binary search's
+     * data-dependent branches, which mispredict when successive calls
+     * land in different cells (DESIGN 3.2).
+     */
+    static size_t cellIndex(const double *knots, size_t n, double x)
+    {
+        size_t i = 0;
+        for (size_t t = 1; t + 1 < n; ++t)
+            i += static_cast<size_t>(!(x < knots[t]));
+        return i;
+    }
+
+    /** @return axis-0 knots (total units). */
+    const std::vector<double> &knots0() const { return knots0_; }
+    /** @return axis-1 knots (total units). */
+    const std::vector<double> &knots1() const { return knots1_; }
+    /** @return row-major samples, values()[i0 * knots1().size() + i1]. */
+    const std::vector<double> &values() const { return values_; }
+    /** @return guaranteed axis-0 amount. */
+    double min0() const { return min0_; }
+    /** @return guaranteed axis-1 amount. */
+    double min1() const { return min1_; }
+
+  private:
+    /** The grid cell around a clamped point, with its corner samples. */
+    struct Cell
+    {
+        /** The point, clamped to the knot range. */
+        double x0, x1;
+        /** The cell's lower knot on each axis; [1] is the upper one. */
+        const double *k0, *k1;
+        /** Samples at (lower, lower), (lower, upper), ... corners. */
+        double u00, u01, u10, u11;
+    };
+
+    Cell locate(double x0, double x1) const
+    {
+        const size_t n0 = knots0_.size();
+        const size_t n1 = knots1_.size();
+        Cell cell;
+        cell.x0 = std::clamp(x0, knots0_.front(), knots0_.back());
+        cell.x1 = std::clamp(x1, knots1_.front(), knots1_.back());
+        const size_t ci = cellIndex(knots0_.data(), n0, cell.x0);
+        const size_t pi = cellIndex(knots1_.data(), n1, cell.x1);
+        cell.k0 = knots0_.data() + ci;
+        cell.k1 = knots1_.data() + pi;
+        const double *row0 = values_.data() + ci * n1 + pi;
+        const double *row1 = row0 + n1;
+        cell.u00 = row0[0];
+        cell.u01 = row0[1];
+        cell.u10 = row1[0];
+        cell.u11 = row1[1];
+        return cell;
+    }
+
+    /** Slope along axis 0, interpolated along axis 1. */
+    static double slope0(const Cell &c)
+    {
+        const double ty = (c.x1 - c.k1[0]) / (c.k1[1] - c.k1[0]);
+        const double dx = c.k0[1] - c.k0[0];
+        return ((c.u10 - c.u00) * (1.0 - ty) + (c.u11 - c.u01) * ty) / dx;
+    }
+
+    /** Slope along axis 1, interpolated along axis 0. */
+    static double slope1(const Cell &c)
+    {
+        const double tx = (c.x0 - c.k0[0]) / (c.k0[1] - c.k0[0]);
+        const double dy = c.k1[1] - c.k1[0];
+        return ((c.u01 - c.u00) * (1.0 - tx) + (c.u11 - c.u10) * tx) / dy;
+    }
+
+    std::vector<double> knots0_;
+    std::vector<double> knots1_;
+    std::vector<double> values_;
+    double min0_ = 0.0;
+    double min1_ = 0.0;
+};
 
 /**
  * Abstract concave utility over an M-resource allocation.
@@ -100,6 +262,20 @@ class UtilityModel
      * coefficients immutable for the model's lifetime.
      */
     virtual const double *hotQuads() const { return nullptr; }
+
+    /**
+     * Optional bilinear surface this two-resource model's gradient()
+     * is exactly (bit for bit).  The market's hill climb and rescale
+     * evaluate it inline instead of calling gradient() through the
+     * vtable.  Models that are not a bare bilinear surface return
+     * nullptr (the default) -- including wrappers around one, whose
+     * gradient differs.  The surface must stay valid and immutable for
+     * the model's lifetime.
+     */
+    virtual const BilinearSurface *bilinearSurface() const
+    {
+        return nullptr;
+    }
 
     /** @return a human-readable name for diagnostics. */
     virtual std::string name() const { return "utility"; }

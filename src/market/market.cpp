@@ -56,6 +56,36 @@ validateSetup(const std::vector<const UtilityModel *> &models,
         return SolveStatus::error(StatusCode::InvalidArgument,
                                   "market maxIterations must be positive");
     }
+    // Tolerances are compared, never divided by, so 0 is legal (an
+    // exact fixed point); a NaN would make every comparison false.
+    const struct
+    {
+        const char *name;
+        double value;
+    } tolerances[] = {
+        {"priceTol", config.priceTol},
+        {"bid.lambdaTol", config.bid.lambdaTol},
+        {"bid.minShiftFraction", config.bid.minShiftFraction},
+    };
+    for (const auto &t : tolerances) {
+        if (!(std::isfinite(t.value) && t.value >= 0.0)) {
+            return SolveStatus::error(
+                StatusCode::InvalidArgument,
+                "market %s must be finite and non-negative (got %g)",
+                t.name, t.value);
+        }
+    }
+    if (config.bid.maxSteps < 0) {
+        return SolveStatus::error(StatusCode::InvalidArgument,
+                                  "market bid.maxSteps must be >= 0");
+    }
+    if (!(config.bestResponseDamping > 0.0 &&
+          config.bestResponseDamping <= 1.0)) {
+        return SolveStatus::error(
+            StatusCode::InvalidArgument,
+            "market bestResponseDamping must be in (0, 1] (got %g)",
+            config.bestResponseDamping);
+    }
     return SolveStatus();
 }
 
@@ -179,8 +209,11 @@ ProportionalMarket::ProportionalMarket(
 {
     if (status_.ok()) {
         hotQuads_.reserve(models_.size());
-        for (const UtilityModel *model : models_)
+        surfaces_.reserve(models_.size());
+        for (const UtilityModel *model : models_) {
             hotQuads_.push_back(model->hotQuads());
+            surfaces_.push_back(model->bilinearSurface());
+        }
     }
 }
 
@@ -437,6 +470,33 @@ ProportionalMarket::findEquilibriumInto(const std::vector<double> &budgets,
                         ws.colSums[j] += ws.nextSums[j];
                 }
             }
+        } else if (m == 2) {
+            // Gauss-Seidel sweep (see the generic branch below), two
+            // resources: the column sums live in locals and each
+            // player's climb runs on stack scalars (hillClimbPair), with
+            // no BidResult/BidScratch vectors on the serial reply chain.
+            // Same FP operations in the same order as the generic
+            // branch: bit-identical sums, bids and lambdas.
+            const double c0 = capacities_[0], c1 = capacities_[1];
+            double cs0 = ws.colSums[0], cs1 = ws.colSums[1];
+            std::int64_t steps = 0;
+            for (size_t i = 0; i < n; ++i) {
+                double *bids_i = result.bids.row(i);
+                const double o0 = std::max(0.0, cs0 - bids_i[0]);
+                const double o1 = std::max(0.0, cs1 - bids_i[1]);
+                const HillClimbPairReply r = hillClimbPair(
+                    *models_[i], surfaces_[i], b[i],
+                    warm ? bids_i : nullptr, o0, o1, c0, c1, config_.bid);
+                cs0 += r.b0 - bids_i[0];
+                cs1 += r.b1 - bids_i[1];
+                bids_i[0] = r.b0;
+                bids_i[1] = r.b1;
+                result.lambdas[i] = r.lambda;
+                steps += r.steps;
+            }
+            ws.colSums[0] = cs0;
+            ws.colSums[1] = cs1;
+            result.hillClimbSteps += steps;
         } else {
             // Gauss-Seidel sweep: each player re-optimizes against the
             // latest bids (players see prices, from which they infer
@@ -610,7 +670,11 @@ ProportionalMarket::rescaleEquilibriumInto(
             ws.pred[j] = predictedAllocation(bids_i[j], others,
                                              capacities_[j]);
         }
-        models_[i]->gradient(ws.pred, ws.grad);
+        if (m == 2 && surfaces_[i] != nullptr)
+            surfaces_[i]->gradient(ws.pred[0], ws.pred[1], ws.grad[0],
+                                   ws.grad[1]);
+        else
+            models_[i]->gradient(ws.pred, ws.grad);
         double lambda = 0.0;
         bool first = true;
         for (size_t j = 0; j < m; ++j) {

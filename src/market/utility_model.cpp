@@ -18,6 +18,19 @@ extern "C" __m128d _ZGVbN2vv_pow(__m128d x, __m128d y);
 
 namespace rebudget::market {
 
+BilinearSurface::BilinearSurface(std::vector<double> knots0,
+                                 std::vector<double> knots1,
+                                 std::vector<double> values, double min0,
+                                 double min1)
+    : knots0_(std::move(knots0)), knots1_(std::move(knots1)),
+      values_(std::move(values)), min0_(min0), min1_(min1)
+{
+    REBUDGET_ASSERT(knots0_.size() >= 2 && knots1_.size() >= 2,
+                    "bilinear surface needs >= 2 knots per axis");
+    REBUDGET_ASSERT(values_.size() == knots0_.size() * knots1_.size(),
+                    "bilinear surface sample count mismatch");
+}
+
 double
 UtilityModel::marginal(size_t resource, std::span<const double> alloc) const
 {

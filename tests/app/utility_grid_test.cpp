@@ -3,6 +3,8 @@
  * minimums, and robustness of the concavification pipeline.
  */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "rebudget/app/catalog.h"
@@ -86,6 +88,35 @@ TEST(UtilityGrid, RejectsDegenerateGrids)
     bad.cacheRegions = {4, 2, 8}; // unsorted
     EXPECT_THROW(AppUtilityModel(profile, powerModel(), bad),
                  util::FatalError);
+    // Both axes must be strictly increasing and finite, with the hull
+    // on or off: a repeated knot is a zero-width cell, and the cell
+    // lookup presumes ordered knots.
+    for (bool convexify : {true, false}) {
+        bad = UtilityGridOptions{};
+        bad.convexify = convexify;
+        bad.cacheRegions = {1, 2, 2, 4, 16}; // duplicate cache knot
+        EXPECT_THROW(AppUtilityModel(profile, powerModel(), bad),
+                     util::FatalError)
+            << convexify;
+        bad = UtilityGridOptions{};
+        bad.convexify = convexify;
+        bad.cacheRegions = {1, 2, std::nan(""), 16};
+        EXPECT_THROW(AppUtilityModel(profile, powerModel(), bad),
+                     util::FatalError)
+            << convexify;
+        bad = UtilityGridOptions{};
+        bad.convexify = convexify;
+        bad.freqsGhz = {0.8, 2.4, 1.6, 4.0}; // unsorted
+        EXPECT_THROW(AppUtilityModel(profile, powerModel(), bad),
+                     util::FatalError)
+            << convexify;
+        bad = UtilityGridOptions{};
+        bad.convexify = convexify;
+        bad.freqsGhz = {0.8, 2.0, 2.0, 4.0}; // duplicate frequency
+        EXPECT_THROW(AppUtilityModel(profile, powerModel(), bad),
+                     util::FatalError)
+            << convexify;
+    }
 }
 
 TEST(UtilityGrid, GridValueAccessorMatchesUtility)

@@ -1,7 +1,9 @@
 #include "rebudget/core/rebudget_allocator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -314,6 +316,70 @@ TEST(ReBudget, RejectsBadConfig)
     EXPECT_FALSE(out.converged);
     EXPECT_TRUE(out.alloc.empty());
     EXPECT_EQ(out.stats.failedSolves, 0);
+}
+
+TEST(ReBudget, RejectsNonFiniteAndOutOfRangeConfig)
+{
+    // Every field gets a negated range check, so NaN is rejected too.
+    // Before, a NaN efTarget skipped the step-mode checks (step0 = 1e9
+    // then cut every low-lambda player to the guardrail floor) and a
+    // NaN lambdaCutThreshold silently disabled every cut.
+    const double nan = std::nan("");
+    const double inf = HUGE_VAL;
+    std::vector<std::pair<const char *, ReBudgetConfig>> bad;
+    const auto add = [&bad](const char *what, auto mutate) {
+        ReBudgetConfig cfg;
+        mutate(cfg);
+        bad.emplace_back(what, cfg);
+    };
+    add("initialBudget NaN",
+        [&](ReBudgetConfig &c) { c.initialBudget = nan; });
+    add("initialBudget inf",
+        [&](ReBudgetConfig &c) { c.initialBudget = inf; });
+    add("step0 NaN", [&](ReBudgetConfig &c) { c.step0 = nan; });
+    add("efTarget NaN, step0 1e9", [&](ReBudgetConfig &c) {
+        c.efTarget = nan;
+        c.step0 = 1e9;
+    });
+    add("efTarget 1.5", [](ReBudgetConfig &c) { c.efTarget = 1.5; });
+    add("efTarget inf", [&](ReBudgetConfig &c) { c.efTarget = inf; });
+    add("mbrFloor NaN", [&](ReBudgetConfig &c) { c.mbrFloor = nan; });
+    add("guardrailFloor NaN",
+        [&](ReBudgetConfig &c) { c.guardrailFloor = nan; });
+    add("lambdaCutThreshold NaN",
+        [&](ReBudgetConfig &c) { c.lambdaCutThreshold = nan; });
+    add("minStepFraction NaN",
+        [&](ReBudgetConfig &c) { c.minStepFraction = nan; });
+    add("minStepFraction -0.01",
+        [](ReBudgetConfig &c) { c.minStepFraction = -0.01; });
+    add("minStepFraction 1",
+        [](ReBudgetConfig &c) { c.minStepFraction = 1.0; });
+    add("elideStepFraction NaN",
+        [&](ReBudgetConfig &c) { c.elideStepFraction = nan; });
+    Fixture f = skewedFixture(2, 3);
+    for (const auto &[what, cfg] : bad) {
+        const ReBudgetAllocator alloc{cfg};
+        EXPECT_EQ(alloc.configStatus().code(),
+                  util::StatusCode::InvalidArgument)
+            << what;
+        EXPECT_EQ(alloc.allocate(f.problem).status.code(),
+                  util::StatusCode::InvalidArgument)
+            << what;
+    }
+
+    // The range ends that stay legal.
+    ReBudgetConfig edge;
+    edge.minStepFraction = 0.0;
+    edge.elideStepFraction = 0.0;
+    edge.guardrailFloor = 0.0;
+    EXPECT_TRUE(ReBudgetAllocator{edge}.configStatus().ok());
+    edge = ReBudgetConfig{};
+    edge.efTarget = 1.0;
+    edge.step0 = 1e9; // ignored in fairness-target mode
+    EXPECT_TRUE(ReBudgetAllocator{edge}.configStatus().ok());
+    edge = ReBudgetConfig{};
+    edge.efTarget = -HUGE_VAL; // step mode
+    EXPECT_TRUE(ReBudgetAllocator{edge}.configStatus().ok());
 }
 
 // The paper's knob: sweeping the step trades efficiency against

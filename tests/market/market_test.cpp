@@ -3,6 +3,8 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -203,6 +205,62 @@ TEST(Market, RejectsBadConstruction)
     EXPECT_FALSE(eq.status.ok());
     EXPECT_FALSE(eq.converged);
     EXPECT_TRUE(eq.alloc.empty());
+}
+
+TEST(Market, RejectsOutOfRangeConfig)
+{
+    // A NaN priceTol used to report convergence after one sweep, and a
+    // NaN bestResponseDamping returned NaN prices with an Ok status.
+    const auto models = symmetricPlayers(2);
+    const double nan = std::nan("");
+    std::vector<std::pair<std::string, MarketConfig>> bad;
+    for (double v : {nan, HUGE_VAL, -0.01}) {
+        const std::string at = " = " + std::to_string(v);
+        MarketConfig cfg;
+        cfg.priceTol = v;
+        bad.emplace_back("priceTol" + at, cfg);
+        cfg = MarketConfig{};
+        cfg.bid.lambdaTol = v;
+        bad.emplace_back("bid.lambdaTol" + at, cfg);
+        cfg = MarketConfig{};
+        cfg.bid.minShiftFraction = v;
+        bad.emplace_back("bid.minShiftFraction" + at, cfg);
+    }
+    for (double v : {nan, 0.0, -0.25, 1.5, HUGE_VAL}) {
+        MarketConfig cfg;
+        cfg.bestResponseDamping = v;
+        bad.emplace_back("bestResponseDamping = " + std::to_string(v), cfg);
+    }
+    MarketConfig steps;
+    steps.bid.maxSteps = -1;
+    bad.emplace_back("bid.maxSteps = -1", steps);
+    for (const auto &[what, cfg] : bad) {
+        const ProportionalMarket mkt(ptrs(models), {10.0, 10.0}, cfg);
+        EXPECT_EQ(mkt.setupStatus().code(),
+                  util::StatusCode::InvalidArgument)
+            << what;
+        const auto eq = mkt.findEquilibrium({100.0, 100.0});
+        EXPECT_EQ(eq.status.code(), util::StatusCode::InvalidArgument)
+            << what;
+        EXPECT_FALSE(eq.converged) << what;
+        EXPECT_TRUE(eq.alloc.empty()) << what;
+    }
+}
+
+TEST(Market, AcceptsConfigRangeEnds)
+{
+    // Zero tolerances (an exact fixed point), a zero step budget and
+    // an undamped best response are legal.
+    const auto models = symmetricPlayers(2);
+    MarketConfig cfg;
+    cfg.priceTol = 0.0;
+    cfg.bid.lambdaTol = 0.0;
+    cfg.bid.minShiftFraction = 0.0;
+    cfg.bid.maxSteps = 0;
+    cfg.bestResponseDamping = 1.0;
+    const ProportionalMarket mkt(ptrs(models), {10.0, 10.0}, cfg);
+    EXPECT_TRUE(mkt.setupStatus().ok());
+    EXPECT_TRUE(mkt.findEquilibrium({100.0, 100.0}).status.ok());
 }
 
 TEST(Market, RejectsBadBudgets)
