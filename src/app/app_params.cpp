@@ -72,7 +72,31 @@ makePattern(MemPattern pattern, uint64_t base_addr, uint64_t footprint,
     util::panic("unknown MemPattern");
 }
 
+uint64_t
+patternTableBytes(MemPattern pattern, uint64_t footprint)
+{
+    switch (pattern) {
+      case MemPattern::Zipf:
+        return trace::ZipfWorkingSetGen::tableBytes(footprint, kLineBytes);
+      case MemPattern::PointerChase:
+        return trace::PointerChaseGen::tableBytes(footprint, kLineBytes);
+      case MemPattern::Uniform:
+      case MemPattern::Stream:
+        return 0;
+    }
+    util::panic("unknown MemPattern");
+}
+
 } // namespace
+
+uint64_t
+AppParams::generatorTableBytes() const
+{
+    uint64_t bytes = patternTableBytes(pattern, workingSetBytes);
+    if (phaseAccesses != 0)
+        bytes += patternTableBytes(phasePattern, phaseFootprintBytes);
+    return bytes;
+}
 
 std::unique_ptr<trace::AddressGenerator>
 AppParams::makeGenerator(uint64_t base_addr, uint64_t seed) const

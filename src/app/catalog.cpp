@@ -150,15 +150,8 @@ spec24Catalog()
 const std::vector<AppProfile> &
 catalogProfiles()
 {
-    static const std::vector<AppProfile> profiles = [] {
-        std::vector<AppProfile> out;
-        const auto params = spec24Catalog();
-        out.reserve(params.size());
-        uint64_t seed = 1000;
-        for (const auto &p : params)
-            out.push_back(profileApp(p, ProfilerConfig{}, seed++));
-        return out;
-    }();
+    static const std::vector<AppProfile> profiles =
+        profileApps(spec24Catalog(), ProfilerConfig{}, /*first_seed=*/1000);
     return profiles;
 }
 

@@ -103,6 +103,14 @@ struct AppParams
      */
     std::unique_ptr<trace::AddressGenerator> makeGenerator(
         uint64_t base_addr, uint64_t seed) const;
+
+    /**
+     * @return heap bytes of the lookup tables makeGenerator() would build
+     * (Zipf and pointer-chase patterns; uniform and streaming patterns
+     * hold none), computed from these parameters alone.  The catalog
+     * profiler sizes its admission budget with it.
+     */
+    uint64_t generatorTableBytes() const;
 };
 
 } // namespace rebudget::app

@@ -26,8 +26,9 @@ namespace rebudget::app {
 std::vector<AppParams> spec24Catalog();
 
 /**
- * @return profiles of all catalog applications (profiled once on first
- * use and cached; deterministic).
+ * @return profiles of all catalog applications, app i with seed
+ * 1000 + i (profiled once on first use by profileApps() and cached;
+ * bit-identical at any thread count).
  */
 const std::vector<AppProfile> &catalogProfiles();
 

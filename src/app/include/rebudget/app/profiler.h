@@ -14,6 +14,9 @@
  */
 
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "rebudget/app/app_params.h"
 #include "rebudget/app/perf_model.h"
@@ -70,6 +73,49 @@ struct AppProfile
 };
 
 /**
+ * One profiling run in three steps, so that all of a run's heap
+ * allocation happens on the thread that builds and finishes it:
+ *
+ *  1. the constructor checks the parameters and builds the reference
+ *     stream, the L1 and the UMON;
+ *  2. replay() streams the warm-up and measured references through them
+ *     and makes no heap allocation, so any thread may run it;
+ *  3. finish() builds the miss curve and returns the profile.
+ *
+ * profileApp() and profileStream() run the three steps inline;
+ * profileApps() replays many runs on a worker pool.
+ */
+class ProfileRun
+{
+  public:
+    /** Profile an application's stream, params.makeGenerator(0, seed). */
+    ProfileRun(const AppParams &params, const ProfilerConfig &config,
+               uint64_t seed);
+
+    /** Profile a caller-owned stream, which must outlive the run. */
+    ProfileRun(trace::AddressGenerator &gen, const AppParams &params,
+               const ProfilerConfig &config);
+
+    ProfileRun(const ProfileRun &) = delete;
+    ProfileRun &operator=(const ProfileRun &) = delete;
+
+    /** Replay the warm-up and measured references (once per run). */
+    void replay();
+
+    /** @return the profile measured by replay(); call once, last. */
+    AppProfile finish();
+
+  private:
+    ProfilerConfig config_;
+    AppProfile profile_;
+    std::unique_ptr<trace::AddressGenerator> owned_;
+    trace::AddressGenerator &gen_;
+    cache::SetAssocCache l1_;
+    cache::UMonitor umon_;
+    uint64_t l2Accesses_ = 0;
+};
+
+/**
  * Profile an application by trace replay.
  *
  * @param params  the application description
@@ -100,6 +146,23 @@ AppProfile profileStream(trace::AddressGenerator &gen,
                          const std::string &name, double mem_per_instr,
                          double compute_cpi = 0.5, double activity = 0.7,
                          const ProfilerConfig &config = {});
+
+/**
+ * Profile many applications: entry i is exactly
+ * profileApp(apps[i], config, first_seed + i).
+ *
+ * The calling thread builds and finishes every run (ProfileRun), and a
+ * util::ThreadPool of ThreadPool::defaultThreadCount() workers replays
+ * them, largest generator tables first (AppParams::generatorTableBytes).
+ * A run is admitted only while the tables of the runs in flight plus its
+ * own stay within the largest single run's, so transient memory peaks
+ * where profiling one app at a time does.  With one thread, or when the
+ * pool cannot start its threads, the runs go one after another on the
+ * calling thread.
+ */
+std::vector<AppProfile> profileApps(const std::vector<AppParams> &apps,
+                                    const ProfilerConfig &config,
+                                    uint64_t first_seed);
 
 } // namespace rebudget::app
 

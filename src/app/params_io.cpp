@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -41,25 +43,44 @@ parsePattern(const std::string &value, const std::string &where)
 double
 parseDouble(const std::string &value, const std::string &where)
 {
+    double v = 0.0;
     try {
         size_t used = 0;
-        const double v = std::stod(value, &used);
+        v = std::stod(value, &used);
         if (used != value.size())
             throw std::invalid_argument(value);
-        return v;
     } catch (const std::exception &) {
         util::fatal("%s: bad number '%s'", where.c_str(), value.c_str());
     }
+    if (!std::isfinite(v))
+        util::fatal("%s: expected a finite number, got '%s'", where.c_str(),
+                    value.c_str());
+    return v;
 }
 
+// A whole, non-negative count times @p unit (bytes per KiB or MiB for
+// the size keys), rejected when it is fractional or the product would
+// not fit in 64 bits.
 uint64_t
-parseUint(const std::string &value, const std::string &where)
+parseUint(const std::string &value, const std::string &where,
+          uint64_t unit = 1)
 {
     const double v = parseDouble(value, where);
     if (v < 0.0)
         util::fatal("%s: expected a non-negative value, got '%s'",
                     where.c_str(), value.c_str());
-    return static_cast<uint64_t>(v);
+    if (v != std::floor(v))
+        util::fatal("%s: expected a whole number, got '%s'", where.c_str(),
+                    value.c_str());
+    // Every whole double up to 2^53 is exact; past it, digits are lost.
+    constexpr double kExactLimit = 9007199254740992.0; // 2^53
+    if (v > kExactLimit)
+        util::fatal("%s: '%s' exceeds 2^53", where.c_str(), value.c_str());
+    const auto n = static_cast<uint64_t>(v);
+    if (n > UINT64_MAX / unit)
+        util::fatal("%s: '%s' overflows a 64-bit byte count", where.c_str(),
+                    value.c_str());
+    return n * unit;
 }
 
 void
@@ -74,7 +95,7 @@ applyKey(AppParams &app, const std::string &key, const std::string &value,
                         where.c_str());
         app.designClass = appClassFromCode(value[0]);
     } else if (key == "working_set_kb") {
-        app.workingSetBytes = parseUint(value, where) * 1024;
+        app.workingSetBytes = parseUint(value, where, 1024);
     } else if (key == "zipf_alpha") {
         app.zipfAlpha = parseDouble(value, where);
     } else if (key == "mem_per_instr") {
@@ -82,7 +103,7 @@ applyKey(AppParams &app, const std::string &key, const std::string &value,
     } else if (key == "cold_stream_fraction") {
         app.coldStreamFraction = parseDouble(value, where);
     } else if (key == "cold_stream_mb") {
-        app.coldStreamBytes = parseUint(value, where) * 1024 * 1024;
+        app.coldStreamBytes = parseUint(value, where, 1024 * 1024);
     } else if (key == "compute_cpi") {
         app.computeCpi = parseDouble(value, where);
     } else if (key == "activity") {
@@ -94,7 +115,7 @@ applyKey(AppParams &app, const std::string &key, const std::string &value,
     } else if (key == "phase_pattern") {
         app.phasePattern = parsePattern(value, where);
     } else if (key == "phase_footprint_mb") {
-        app.phaseFootprintBytes = parseUint(value, where) * 1024 * 1024;
+        app.phaseFootprintBytes = parseUint(value, where, 1024 * 1024);
     } else {
         util::fatal("%s: unknown key '%s'", where.c_str(), key.c_str());
     }

@@ -44,7 +44,8 @@ class UMonitor
   public:
     explicit UMonitor(const UMonConfig &config = {});
 
-    /** Observe one access (byte address) of the monitored core. */
+    /** Observe one access (byte address) of the monitored core.  Makes
+     * no heap allocation: every stack is reserved at construction. */
     void observe(uint64_t addr);
 
     /**
@@ -84,7 +85,7 @@ class UMonitor
     FixedDivisor setIndex_{1}; // line -> (tag, shadow set)
     FixedDivisor sampling_{1}; // shadow set -> (sampled index, offset)
     // Per monitored set: LRU-ordered tags, front = MRU. Entry count is at
-    // most maxRegions.
+    // most maxRegions; capacity is maxRegions + 1.
     std::vector<std::vector<uint64_t>> stacks_;
     std::vector<uint64_t> hits_; // hits_[d] = hits at stack distance d
     uint64_t missesBeyond_ = 0;

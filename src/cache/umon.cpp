@@ -28,7 +28,11 @@ UMonitor::UMonitor(const UMonConfig &config) : config_(config)
     lineShift_ = static_cast<uint32_t>(std::countr_zero(config_.lineBytes));
     setIndex_ = FixedDivisor(shadow_sets);
     sampling_ = FixedDivisor(config_.samplingRatio);
-    stacks_.assign(sampledSets_, {});
+    // A stack holds at most maxRegions tags, one more between an insert
+    // and its pop_back; reserving that here keeps observe() off the heap.
+    stacks_.resize(sampledSets_);
+    for (auto &stack : stacks_)
+        stack.reserve(static_cast<size_t>(config_.maxRegions) + 1);
     hits_.assign(config_.maxRegions, 0);
 }
 

@@ -38,6 +38,13 @@ class PointerChaseGen : public AddressGenerator
     uint64_t footprintBytes() const override { return workingSet_; }
     std::unique_ptr<AddressGenerator> clone() const override;
 
+    /**
+     * @return peak heap bytes of building a chase over this working set
+     * (the shuffled visit order and the successor table), computed
+     * without building them; 0 when the geometry would be rejected.
+     */
+    static uint64_t tableBytes(uint64_t working_set, uint64_t line_bytes);
+
   private:
     uint64_t baseAddr_;
     uint64_t workingSet_;

@@ -39,6 +39,14 @@ class ZipfWorkingSetGen : public AddressGenerator
     uint64_t footprintBytes() const override { return workingSet_; }
     std::unique_ptr<AddressGenerator> clone() const override;
 
+    /**
+     * @return heap bytes of the tables a generator over this working set
+     * builds (the sampler's CDF and guide, and the rank-to-line
+     * permutation), computed without building them; 0 when the
+     * geometry would be rejected.
+     */
+    static uint64_t tableBytes(uint64_t working_set, uint64_t line_bytes);
+
   private:
     uint64_t baseAddr_;
     uint64_t workingSet_;

@@ -45,4 +45,17 @@ PointerChaseGen::clone() const
     return std::make_unique<PointerChaseGen>(*this);
 }
 
+uint64_t
+PointerChaseGen::tableBytes(uint64_t working_set, uint64_t line_bytes)
+{
+    if (line_bytes == 0)
+        return 0;
+    const uint64_t lines = working_set / line_bytes;
+    if (lines == 0 || lines > UINT32_MAX)
+        return 0;
+    // The visit order lives until the constructor returns; the
+    // successor table for the generator's lifetime.
+    return 2 * lines * sizeof(uint32_t);
+}
+
 } // namespace rebudget::trace

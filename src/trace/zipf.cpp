@@ -58,4 +58,16 @@ ZipfWorkingSetGen::clone() const
     return std::make_unique<ZipfWorkingSetGen>(*this);
 }
 
+uint64_t
+ZipfWorkingSetGen::tableBytes(uint64_t working_set, uint64_t line_bytes)
+{
+    if (line_bytes == 0)
+        return 0;
+    const uint64_t lines = working_set / line_bytes;
+    if (lines == 0 || lines > UINT32_MAX)
+        return 0;
+    // The sampler's tables, then rank -> line.
+    return util::ZipfSampler::tableBytes(lines) + lines * sizeof(uint32_t);
+}
+
 } // namespace rebudget::trace

@@ -124,6 +124,10 @@ class ZipfSampler
     /** @return probability mass of rank k. */
     double pmf(size_t k) const;
 
+    /** @return heap bytes of the tables a sampler over @p n ranks holds
+     * (its CDF and guide), computed without building them. */
+    static size_t tableBytes(size_t n);
+
   private:
     std::vector<double> cdf_;
     std::vector<uint32_t> guide_; // m + 1 bucket edges

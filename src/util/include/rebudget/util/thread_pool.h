@@ -63,7 +63,9 @@ class ThreadPool
     /**
      * Resolve the job count used when a caller passes 0: the
      * REBUDGET_JOBS environment variable if set to a positive integer,
-     * else std::thread::hardware_concurrency(), else 1.
+     * else the number of CPUs in the calling thread's affinity mask
+     * (sched_getaffinity), else std::thread::hardware_concurrency(),
+     * else 1.
      */
     static unsigned defaultThreadCount();
 

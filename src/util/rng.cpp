@@ -156,13 +156,20 @@ Rng::split()
     return Rng(next());
 }
 
+size_t
+ZipfSampler::tableBytes(size_t n)
+{
+    // cdf_: one double per rank; guide_: bit_floor(n) + 1 bucket edges.
+    return n * sizeof(double) + (std::bit_floor(n) + 1) * sizeof(uint32_t);
+}
+
 ZipfSampler::ZipfSampler(size_t n, double alpha)
 {
     if (n == 0)
         fatal("ZipfSampler requires a non-empty population");
     if (n > UINT32_MAX)
         fatal("ZipfSampler population %zu exceeds 2^32 - 1", n);
-    if (alpha < 0.0)
+    if (!(alpha >= 0.0))
         fatal("ZipfSampler requires alpha >= 0 (got %f)", alpha);
     cdf_.resize(n);
     double sum = 0.0;

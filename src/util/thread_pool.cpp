@@ -1,5 +1,7 @@
 #include "rebudget/util/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -19,6 +21,15 @@ ThreadPool::defaultThreadCount()
         const long v = std::strtol(env, &end, 10);
         if (end != env && *end == '\0' && v >= 1)
             return static_cast<unsigned>(v);
+    }
+    // The CPUs the calling thread may run on, not the machine's: a
+    // thread pinned to one CPU (whose workers inherit its mask) gets one.
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    if (::sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+        const int n = CPU_COUNT(&allowed);
+        if (n >= 1)
+            return static_cast<unsigned>(n);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 1u;

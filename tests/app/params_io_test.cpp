@@ -98,6 +98,84 @@ TEST(ParamsIo, BadNumberIsFatal)
                  util::FatalError);
 }
 
+namespace {
+
+// The message of the FatalError that parsing @p text raises, or "" if
+// it parses.
+std::string
+parseError(const std::string &text)
+{
+    try {
+        parseAppParams(text, "apps.ini");
+    } catch (const util::FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(ParamsIo, NonFiniteValuesAreFatalForEveryKey)
+{
+    for (const char *key :
+         {"working_set_kb", "zipf_alpha", "mem_per_instr",
+          "cold_stream_fraction", "cold_stream_mb", "compute_cpi",
+          "activity", "write_fraction", "phase_accesses",
+          "phase_footprint_mb"}) {
+        for (const char *value : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+            const std::string msg = parseError(
+                std::string("[a]\n") + key + " = " + value + "\n");
+            EXPECT_NE(msg.find("apps.ini:2"), std::string::npos)
+                << key << " = " << value << ": '" << msg << "'";
+        }
+    }
+}
+
+TEST(ParamsIo, FractionalCountsAreFatal)
+{
+    for (const char *key : {"working_set_kb", "cold_stream_mb",
+                            "phase_accesses", "phase_footprint_mb"}) {
+        const std::string msg =
+            parseError(std::string("[a]\n") + key + " = 1.5\n");
+        EXPECT_NE(msg.find("apps.ini:2"), std::string::npos) << key;
+        EXPECT_NE(msg.find("whole number"), std::string::npos) << msg;
+    }
+}
+
+TEST(ParamsIo, OverflowingCountsAreFatal)
+{
+    // 2^54 KiB and 2^44 MiB are 2^64 bytes; 2^64 and 1e300 do not fit a
+    // count; 2^53 + 2 is past the exactly representable integers.
+    for (const char *line :
+         {"working_set_kb = 18014398509481984", "cold_stream_mb = 17592186044416",
+          "phase_footprint_mb = 17592186044416",
+          "phase_accesses = 18446744073709551616", "phase_accesses = 1e300",
+          "phase_accesses = 9007199254740994"}) {
+        const std::string msg =
+            parseError(std::string("[a]\n\n") + line + "\n");
+        EXPECT_NE(msg.find("apps.ini:3"), std::string::npos)
+            << line << ": '" << msg << "'";
+    }
+}
+
+TEST(ParamsIo, WholeCountsParseExactly)
+{
+    const auto apps = parseAppParams(
+        "[a]\nworking_set_kb = 2e3\ncold_stream_mb = 8.0\n"
+        "phase_accesses = 9007199254740992\n"
+        "phase_footprint_mb = 17592186044415\n");
+    EXPECT_EQ(apps[0].workingSetBytes, 2000u * 1024);
+    EXPECT_EQ(apps[0].coldStreamBytes, 8u * 1024 * 1024);
+    EXPECT_EQ(apps[0].phaseAccesses, 9007199254740992u);
+    EXPECT_EQ(apps[0].phaseFootprintBytes, 17592186044415ull << 20);
+}
+
+TEST(ParamsIo, NegativeCountIsFatal)
+{
+    EXPECT_NE(parseError("[a]\nphase_accesses = -1\n").find("apps.ini:2"),
+              std::string::npos);
+}
+
 TEST(ParamsIo, EmptyInputIsFatal)
 {
     EXPECT_THROW(parseAppParams("# nothing here\n"), util::FatalError);

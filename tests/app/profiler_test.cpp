@@ -1,5 +1,12 @@
 #include "rebudget/app/profiler.h"
 
+#include <pthread.h>
+
+#include <cmath>
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "rebudget/app/app_params.h"
@@ -136,6 +143,181 @@ TEST(Profiler, RejectsNonPositiveMemPerInstr)
     AppParams bad = chase(512 * kKiB);
     bad.memPerInstr = 0.0;
     EXPECT_THROW(profileApp(bad, quick()), util::FatalError);
+}
+
+TEST(Profiler, RejectsNaNOrInfiniteMemPerInstr)
+{
+    for (const double m : {std::nan(""), HUGE_VAL}) {
+        AppParams bad = chase(512 * kKiB);
+        bad.memPerInstr = m;
+        EXPECT_THROW(profileApp(bad, quick()), util::FatalError) << m;
+    }
+}
+
+TEST(GeneratorTableBytes, CountsZipfAndChaseTablesOnly)
+{
+    AppParams zipf;
+    zipf.pattern = MemPattern::Zipf;
+    zipf.workingSetBytes = 2 * kMiB; // 32768 lines
+    EXPECT_EQ(zipf.generatorTableBytes(), 32768u * 8 + 32769u * 4 +
+                                              32768u * 4);
+    // 28672 lines: the guide has bit_floor(28672) + 1 = 16385 edges.
+    zipf.workingSetBytes = 1792 * kKiB;
+    EXPECT_EQ(zipf.generatorTableBytes(), 28672u * 12 + 16385u * 4);
+
+    EXPECT_EQ(chase(1152 * kKiB).generatorTableBytes(), 18432u * 8);
+
+    AppParams flat = l1Resident();
+    flat.coldStreamFraction = 0.2; // the cold stream holds no table
+    EXPECT_EQ(flat.generatorTableBytes(), 0u);
+    flat.pattern = MemPattern::Stream;
+    EXPECT_EQ(flat.generatorTableBytes(), 0u);
+
+    AppParams phased = chase(512 * kKiB);
+    phased.phaseAccesses = 1000;
+    phased.phasePattern = MemPattern::PointerChase;
+    phased.phaseFootprintBytes = 1 * kMiB;
+    EXPECT_EQ(phased.generatorTableBytes(), (8192u + 16384u) * 8);
+}
+
+namespace {
+
+// Sets REBUDGET_JOBS for one scope, then restores it.
+class ScopedJobs
+{
+  public:
+    explicit ScopedJobs(const char *jobs)
+    {
+        if (const char *old = std::getenv("REBUDGET_JOBS")) {
+            had_ = true;
+            old_ = old;
+        }
+        ::setenv("REBUDGET_JOBS", jobs, 1);
+    }
+    ~ScopedJobs()
+    {
+        if (had_)
+            ::setenv("REBUDGET_JOBS", old_.c_str(), 1);
+        else
+            ::unsetenv("REBUDGET_JOBS");
+    }
+
+  private:
+    bool had_ = false;
+    std::string old_;
+};
+
+// Every pattern, a cold stream and a phased app, with table sizes that
+// make the admission rule hold some runs back.
+std::vector<AppParams>
+mixedApps()
+{
+    std::vector<AppParams> apps;
+    AppParams zipf = l1Resident();
+    zipf.name = "zipf";
+    zipf.pattern = MemPattern::Zipf;
+    zipf.workingSetBytes = 768 * kKiB;
+    apps.push_back(zipf);
+    apps.push_back(chase(512 * kKiB));
+    apps.push_back(l1Resident());
+    AppParams stream = l1Resident();
+    stream.name = "stream";
+    stream.pattern = MemPattern::Stream;
+    stream.workingSetBytes = 4 * kMiB;
+    stream.coldStreamFraction = 0.1;
+    apps.push_back(stream);
+    AppParams phased = zipf;
+    phased.name = "phased";
+    phased.workingSetBytes = 256 * kKiB;
+    phased.phaseAccesses = 7000;
+    phased.phasePattern = MemPattern::PointerChase;
+    phased.phaseFootprintBytes = 1 * kMiB;
+    apps.push_back(phased);
+    apps.push_back(chase(1 * kMiB));
+    zipf.name = "zipf-small";
+    zipf.workingSetBytes = 192 * kKiB;
+    apps.push_back(zipf);
+    return apps;
+}
+
+ProfilerConfig
+tiny()
+{
+    ProfilerConfig cfg;
+    cfg.warmupAccesses = 5000;
+    cfg.measureAccesses = 40000;
+    return cfg;
+}
+
+} // namespace
+
+TEST(ProfileApps, MatchesProfileAppAtEveryThreadCount)
+{
+    const std::vector<AppParams> apps = mixedApps();
+    const ProfilerConfig cfg = tiny();
+    std::vector<AppProfile> expected;
+    for (size_t i = 0; i < apps.size(); ++i)
+        expected.push_back(profileApp(apps[i], cfg, 77 + i));
+    for (const char *jobs : {"1", "2", "3", "8"}) {
+        ScopedJobs scoped(jobs);
+        const std::vector<AppProfile> got = profileApps(apps, cfg, 77);
+        ASSERT_EQ(got.size(), apps.size()) << jobs;
+        for (size_t i = 0; i < apps.size(); ++i) {
+            EXPECT_EQ(got[i].params.name, apps[i].name);
+            EXPECT_EQ(got[i].instructions, expected[i].instructions);
+            EXPECT_EQ(got[i].l2AccessesPerInstr,
+                      expected[i].l2AccessesPerInstr)
+                << apps[i].name << " at " << jobs << " jobs";
+            EXPECT_EQ(got[i].l2Curve.samples(), expected[i].l2Curve.samples())
+                << apps[i].name << " at " << jobs << " jobs";
+            EXPECT_EQ(got[i].timing.computeCpi, apps[i].computeCpi);
+        }
+    }
+}
+
+TEST(ProfileApps, ABadAppFailsWithoutHanging)
+{
+    std::vector<AppParams> apps = mixedApps();
+    apps[3].memPerInstr = std::nan("");
+    for (const char *jobs : {"1", "3"}) {
+        ScopedJobs scoped(jobs);
+        EXPECT_THROW(profileApps(apps, tiny(), 1), util::FatalError) << jobs;
+    }
+}
+
+TEST(ProfileApps, FallsBackToTheSerialLoopWhenThreadsCannotStart)
+{
+    // A default thread stack of 2^46 bytes cannot be mapped, so the
+    // pool's first std::thread throws std::system_error.
+    pthread_attr_t saved;
+    ASSERT_EQ(pthread_getattr_default_np(&saved), 0);
+    pthread_attr_t huge;
+    pthread_attr_init(&huge);
+    ASSERT_EQ(pthread_attr_setstacksize(&huge, size_t{1} << 46), 0);
+    ASSERT_EQ(pthread_setattr_default_np(&huge), 0);
+
+    const std::vector<AppParams> apps = mixedApps();
+    const ProfilerConfig cfg = tiny();
+    std::vector<AppProfile> got;
+    {
+        ScopedJobs scoped("3");
+        EXPECT_NO_THROW(got = profileApps(apps, cfg, 5));
+    }
+    pthread_setattr_default_np(&saved);
+    pthread_attr_destroy(&huge);
+    pthread_attr_destroy(&saved);
+
+    ASSERT_EQ(got.size(), apps.size());
+    for (size_t i = 0; i < apps.size(); ++i) {
+        const AppProfile want = profileApp(apps[i], cfg, 5 + i);
+        EXPECT_EQ(got[i].l2AccessesPerInstr, want.l2AccessesPerInstr);
+        EXPECT_EQ(got[i].l2Curve.samples(), want.l2Curve.samples());
+    }
+}
+
+TEST(ProfileApps, EmptyListGivesNoProfiles)
+{
+    EXPECT_TRUE(profileApps({}, tiny(), 1).empty());
 }
 
 } // namespace

@@ -2,14 +2,18 @@
  * @file
  * util::ThreadPool / parallelFor: full index coverage, determinism of
  * index-addressed writes at any thread count, exception propagation,
- * and the REBUDGET_JOBS / --jobs sizing rules.
+ * and the REBUDGET_JOBS / affinity-mask sizing rules.
  */
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "rebudget/util/thread_pool.h"
@@ -100,6 +104,73 @@ TEST(ThreadPool, ExceptionsPropagateToCaller)
 TEST(ThreadPool, DefaultThreadCountIsPositive)
 {
     EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
+}
+
+namespace {
+
+// Pins the calling thread to its first allowed CPU and clears
+// REBUDGET_JOBS; the destructor restores both.
+class PinnedToOneCpu
+{
+  public:
+    PinnedToOneCpu()
+    {
+        if (const char *jobs = std::getenv("REBUDGET_JOBS"))
+            savedJobs_ = jobs;
+        ::unsetenv("REBUDGET_JOBS");
+        CPU_ZERO(&saved_);
+        ok_ = ::sched_getaffinity(0, sizeof(saved_), &saved_) == 0;
+        for (int cpu = 0; ok_ && cpu < CPU_SETSIZE; ++cpu) {
+            if (CPU_ISSET(cpu, &saved_)) {
+                cpu_set_t one;
+                CPU_ZERO(&one);
+                CPU_SET(cpu, &one);
+                ok_ = ::sched_setaffinity(0, sizeof(one), &one) == 0;
+                break;
+            }
+        }
+    }
+    ~PinnedToOneCpu()
+    {
+        ::sched_setaffinity(0, sizeof(saved_), &saved_);
+        if (!savedJobs_.empty())
+            ::setenv("REBUDGET_JOBS", savedJobs_.c_str(), 1);
+    }
+    bool ok() const { return ok_; }
+    int allowed() const { return CPU_COUNT(&saved_); }
+
+  private:
+    cpu_set_t saved_;
+    std::string savedJobs_;
+    bool ok_ = false;
+};
+
+} // namespace
+
+TEST(ThreadPool, DefaultThreadCountFollowsTheAffinityMask)
+{
+    unsigned allowed = 0;
+    {
+        PinnedToOneCpu pin;
+        ASSERT_TRUE(pin.ok());
+        EXPECT_EQ(ThreadPool::defaultThreadCount(), 1u);
+        // A pool sized by default on a pinned thread runs inline.
+        EXPECT_EQ(ThreadPool().size(), 1u);
+        allowed = static_cast<unsigned>(pin.allowed());
+    }
+    // Unpinned again: one worker per CPU of the original mask.
+    if (std::getenv("REBUDGET_JOBS") == nullptr) {
+        EXPECT_EQ(ThreadPool::defaultThreadCount(), allowed);
+    }
+}
+
+TEST(ThreadPool, JobsVariableOverridesTheAffinityMask)
+{
+    PinnedToOneCpu pin;
+    ASSERT_TRUE(pin.ok());
+    ::setenv("REBUDGET_JOBS", "3", 1);
+    EXPECT_EQ(ThreadPool::defaultThreadCount(), 3u);
+    ::unsetenv("REBUDGET_JOBS");
 }
 
 TEST(ThreadPool, FreeFunctionParallelFor)

@@ -259,6 +259,11 @@ TEST(Zipf, RejectsNegativeAlpha)
     EXPECT_THROW(ZipfSampler(4, -0.1), FatalError);
 }
 
+TEST(Zipf, RejectsNaNAlpha)
+{
+    EXPECT_THROW(ZipfSampler(8, std::nan("")), FatalError);
+}
+
 TEST(Zipf, RejectsPopulationBeyondUint32)
 {
     // The guide table stores ranks as uint32_t; the check runs before

@@ -68,7 +68,7 @@ struct Options
     std::string faultsSpec; // --faults key=value,... (see faults::FaultPlan)
     std::string churnSpec;  // --churn key=value,... (see eval::ChurnSpec)
     bool csv = false;
-    unsigned jobs = 0; // 0 = REBUDGET_JOBS env or hardware concurrency
+    unsigned jobs = 0; // 0 = REBUDGET_JOBS env or allowed CPUs
     bool warmStart = true;
     bool statsJson = false; // --stats json
     size_t players = 0;     // --players N synthetic-scale mode (0 = off)
@@ -147,8 +147,9 @@ usage()
         "                          efficiency/fairness degradation per\n"
         "                          mechanism\n"
         "  --jobs N                worker threads for --sweep (default:\n"
-        "                          REBUDGET_JOBS env, else hardware\n"
-        "                          concurrency); results are identical\n"
+        "                          REBUDGET_JOBS env, else the CPUs\n"
+        "                          this process may run on); results\n"
+        "                          are identical\n"
         "                          at any job count\n"
         "  --epochs N              measured epochs for --sim\n"
         "  --seed S                workload seed\n"

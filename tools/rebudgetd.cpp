@@ -72,7 +72,7 @@ usage()
         "  --shards N         market shards (default 4)\n"
         "  --jobs N           tick worker threads (default: "
         "REBUDGET_JOBS,\n"
-        "                     else hardware concurrency)\n"
+        "                     else the CPUs this process may run on)\n"
         "  --tick-ms N        epoch tick period (default 100; 0 = only\n"
         "                     explicit TickNow requests tick)\n"
         "  --max-ticks N      exit after N timer ticks (0 = run until\n"
