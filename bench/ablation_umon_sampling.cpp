@@ -14,12 +14,13 @@
  * output byte-identical at any job count.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <vector>
 
 #include "rebudget/app/catalog.h"
-#include "rebudget/cache/set_assoc_cache.h"
+#include "rebudget/cache/lru_filter.h"
 #include "rebudget/cache/umon.h"
 #include "rebudget/eval/bundle_runner.h"
 #include "rebudget/util/logging.h"
@@ -43,15 +44,18 @@ missCurveError(const app::AppParams &params, uint32_t ratio,
     sampled_cfg.samplingRatio = ratio;
     cache::UMonitor full(full_cfg);
     cache::UMonitor sampled(sampled_cfg);
-    cache::SetAssocCache l1(cache::CacheConfig{32 * 1024, 4, 64}, 1);
+    cache::LruFilter l1(cache::CacheConfig{32 * 1024, 4, 64});
 
     auto gen = params.makeGenerator(0, seed);
-    for (int i = 0; i < 600000; ++i) {
-        const trace::Access a = gen->next();
-        if (l1.access(0, a.addr, a.write).hit)
-            continue;
-        full.observe(a.addr);
-        sampled.observe(a.addr);
+    trace::Access batch[trace::kBatchSize];
+    for (size_t left = 600000; left > 0;) {
+        const size_t n = std::min(left, trace::kBatchSize);
+        gen->fill(batch, n);
+        l1.filter(batch, n, [&](const trace::Access &a) {
+            full.observe(a.addr);
+            sampled.observe(a.addr);
+        });
+        left -= n;
     }
     const cache::MissCurve cf = full.missCurve();
     const cache::MissCurve cs = sampled.missCurve();

@@ -17,6 +17,7 @@
 #include "rebudget/app/catalog.h"
 #include "rebudget/app/profiler.h"
 #include "rebudget/cache/futility_controller.h"
+#include "rebudget/cache/lru_filter.h"
 #include "rebudget/cache/set_assoc_cache.h"
 #include "rebudget/cache/umon.h"
 #include "rebudget/trace/zipf.h"
@@ -88,22 +89,24 @@ BM_ZipfSample(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 
-// The profiler's L1 (32 KiB, 4-way) fed vpr's reference stream.
+// The profiler's L1 filter (32 KiB, 4-way) fed vpr's reference stream,
+// one generator batch per iteration; items are references.
 void
 BM_L1Access(benchmark::State &state)
 {
-    cache::SetAssocCache l1(app::ProfilerConfig{}.l1, 1);
+    cache::LruFilter l1(app::ProfilerConfig{}.l1);
     trace::ZipfWorkingSetGen gen(0, 2 * 1024 * 1024, 64, 0.90, 0.15, 4);
     std::vector<trace::Access> refs(1 << 16);
-    for (auto &r : refs)
-        r = gen.next();
+    gen.fill(refs.data(), refs.size());
     size_t i = 0;
+    uint64_t misses = 0;
     for (auto _ : state) {
-        const trace::Access &r = refs[i % refs.size()];
-        benchmark::DoNotOptimize(l1.access(0, r.addr, r.write));
-        ++i;
+        l1.filter(refs.data() + i, trace::kBatchSize,
+                  [&](const trace::Access &) { ++misses; });
+        benchmark::DoNotOptimize(misses);
+        i = (i + trace::kBatchSize) % refs.size();
     }
-    state.SetItemsProcessed(state.iterations());
+    state.SetItemsProcessed(state.iterations() * trace::kBatchSize);
 }
 
 // One catalog profile (1.2M references) per iteration: a Zipf app, an

@@ -115,6 +115,35 @@ operator new[](std::size_t size)
     return countedAlloc(size);
 }
 
+// The nothrow forms too: std::stable_sort (catalog profiling) takes
+// its temporary buffer from one and returns it through the sized
+// delete below, so a library nothrow new would pair with free().
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    t_heap_allocs += 1;
+    return std::malloc(size ? size : 1);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    t_heap_allocs += 1;
+    return std::malloc(size ? size : 1);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
 void
 operator delete(void *p) noexcept
 {

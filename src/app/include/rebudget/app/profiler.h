@@ -20,8 +20,9 @@
 
 #include "rebudget/app/app_params.h"
 #include "rebudget/app/perf_model.h"
+#include "rebudget/cache/cache_config.h"
+#include "rebudget/cache/lru_filter.h"
 #include "rebudget/cache/miss_curve.h"
-#include "rebudget/cache/set_assoc_cache.h"
 #include "rebudget/cache/umon.h"
 
 namespace rebudget::app {
@@ -106,11 +107,15 @@ class ProfileRun
     AppProfile finish();
 
   private:
+    // Stream @p accesses references through the L1 into the UMON, in
+    // batches; @return the L1 misses.
+    uint64_t stream(uint64_t accesses);
+
     ProfilerConfig config_;
     AppProfile profile_;
     std::unique_ptr<trace::AddressGenerator> owned_;
     trace::AddressGenerator &gen_;
-    cache::SetAssocCache l1_;
+    cache::LruFilter l1_;
     cache::UMonitor umon_;
     uint64_t l2Accesses_ = 0;
 };

@@ -66,14 +66,14 @@ ProfileRun::ProfileRun(const AppParams &params, const ProfilerConfig &config,
                        uint64_t seed)
     : config_(config), profile_(startProfile(params)),
       owned_(params.makeGenerator(/*base_addr=*/0, seed)), gen_(*owned_),
-      l1_(config.l1, /*partitions=*/1), umon_(config.umon)
+      l1_(config.l1), umon_(config.umon)
 {
 }
 
 ProfileRun::ProfileRun(trace::AddressGenerator &gen, const AppParams &params,
                        const ProfilerConfig &config)
     : config_(config), profile_(startProfile(params)), gen_(gen),
-      l1_(config.l1, /*partitions=*/1), umon_(config.umon)
+      l1_(config.l1), umon_(config.umon)
 {
 }
 
@@ -82,25 +82,29 @@ ProfileRun::replay()
 {
     // Warm up the L1 and shadow tags so the measured window reflects
     // steady state.
-    for (uint64_t i = 0; i < config_.warmupAccesses; ++i) {
-        const trace::Access a = gen_.next();
-        const cache::AccessResult r = l1_.access(0, a.addr, a.write);
-        if (!r.hit)
-            umon_.observe(a.addr);
-    }
-    l1_.resetStats();
+    stream(config_.warmupAccesses);
     umon_.resetHistogram();
+    l2Accesses_ = stream(config_.measureAccesses);
+}
 
-    uint64_t l2_accesses = 0;
-    for (uint64_t i = 0; i < config_.measureAccesses; ++i) {
-        const trace::Access a = gen_.next();
-        const cache::AccessResult r = l1_.access(0, a.addr, a.write);
-        if (!r.hit) {
-            ++l2_accesses;
+uint64_t
+ProfileRun::stream(uint64_t accesses)
+{
+    // One generator call per batch; the batch lives on this stack, so a
+    // replay allocates nothing.
+    trace::Access batch[trace::kBatchSize];
+    uint64_t misses = 0;
+    while (accesses > 0) {
+        const auto n = static_cast<size_t>(
+            std::min<uint64_t>(accesses, trace::kBatchSize));
+        gen_.fill(batch, n);
+        l1_.filter(batch, n, [&](const trace::Access &a) {
+            ++misses;
             umon_.observe(a.addr);
-        }
+        });
+        accesses -= n;
     }
-    l2Accesses_ = l2_accesses;
+    return misses;
 }
 
 AppProfile

@@ -78,8 +78,9 @@ class SetAssocCache
     AccessResult access(uint32_t partition, uint64_t addr, bool write);
 
     /**
-     * Set the futility scale factor for a partition.  Larger scale makes
-     * the partition's lines more likely to be victimized.
+     * Set the futility scale factor for a partition (positive and
+     * finite).  Larger scale makes the partition's lines more likely to
+     * be victimized.
      */
     void setScale(uint32_t partition, double scale);
 

@@ -1,6 +1,7 @@
 #include "rebudget/cache/set_assoc_cache.h"
 
 #include <bit>
+#include <cmath>
 
 #include "rebudget/util/logging.h"
 
@@ -121,8 +122,9 @@ void
 SetAssocCache::setScale(uint32_t partition, double scale)
 {
     REBUDGET_ASSERT(partition < numPartitions_, "partition out of range");
-    if (scale <= 0.0)
-        util::fatal("futility scale must be positive (got %f)", scale);
+    if (!(scale > 0.0 && std::isfinite(scale)))
+        util::fatal("futility scale must be positive and finite (got %f)",
+                    scale);
     scales_[partition] = scale;
 }
 

@@ -21,7 +21,7 @@
 
 #include "rebudget/app/app_params.h"
 #include "rebudget/app/profiler.h"
-#include "rebudget/cache/set_assoc_cache.h"
+#include "rebudget/cache/lru_filter.h"
 #include "rebudget/cache/umon.h"
 #include "rebudget/sim/cmp_config.h"
 #include "rebudget/sim/shared_l2.h"
@@ -92,7 +92,7 @@ class SimCore
     app::AppParams params_;
     CmpConfig config_;
     std::unique_ptr<trace::AddressGenerator> gen_;
-    cache::SetAssocCache l1_;
+    cache::LruFilter l1_;
     cache::UMonitor umon_;
     // Epoch counters for the online profile.
     uint64_t epochAccesses_ = 0;

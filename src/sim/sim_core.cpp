@@ -1,5 +1,7 @@
 #include "rebudget/sim/sim_core.h"
 
+#include <algorithm>
+
 #include "rebudget/util/logging.h"
 
 namespace rebudget::sim {
@@ -8,7 +10,7 @@ SimCore::SimCore(uint32_t id, const app::AppParams &params,
                  const CmpConfig &config, uint64_t seed)
     : id_(id), params_(params), config_(config),
       gen_(params.makeGenerator(static_cast<uint64_t>(id) << 40, seed)),
-      l1_(config.l1, /*partitions=*/1), umon_(config.umon)
+      l1_(config.l1), umon_(config.umon)
 {
 }
 
@@ -19,15 +21,18 @@ SimCore::runEpoch(double f_ghz, SharedL2 &l2, double mem_lat_ns,
     uint64_t l2_accesses = 0;
     uint64_t l2_misses = 0;
     const cache::PartitionStats wb_before = l2.coreStats(id_);
-    for (uint64_t k = 0; k < accesses; ++k) {
-        const trace::Access a = gen_->next();
-        const cache::AccessResult l1r = l1_.access(0, a.addr, a.write);
-        if (l1r.hit)
-            continue;
-        umon_.observe(a.addr);
-        ++l2_accesses;
-        if (!l2.access(id_, a.addr, a.write))
-            ++l2_misses;
+    trace::Access batch[trace::kBatchSize];
+    for (uint64_t left = accesses; left > 0;) {
+        const auto n = static_cast<size_t>(
+            std::min<uint64_t>(left, trace::kBatchSize));
+        gen_->fill(batch, n);
+        l1_.filter(batch, n, [&](const trace::Access &a) {
+            umon_.observe(a.addr);
+            ++l2_accesses;
+            if (!l2.access(id_, a.addr, a.write))
+                ++l2_misses;
+        });
+        left -= n;
     }
     const uint64_t writebacks =
         l2.coreStats(id_).writebacks - wb_before.writebacks;

@@ -15,6 +15,7 @@
  * are measured, not assumed.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -30,18 +31,36 @@ struct Access
 };
 
 /**
+ * References a replay loop draws per fill(): enough to amortize the
+ * virtual call, few enough for a 4 KiB buffer on the stack.
+ */
+inline constexpr size_t kBatchSize = 256;
+
+/**
  * Abstract deterministic address-stream generator.
  *
  * Generators own their random state; two generators constructed with the
- * same parameters and seed produce identical streams.
+ * same parameters and seed produce identical streams.  A stream is drawn
+ * in batches, fill(out, n), and does not depend on how it is split into
+ * them: no generator reads ahead, so its state after a batch is its
+ * state after those n references (which is what clone() copies).
  */
 class AddressGenerator
 {
   public:
     virtual ~AddressGenerator() = default;
 
+    /** Write the next @p n memory references of the stream to out[0..n). */
+    virtual void fill(Access *out, size_t n) = 0;
+
     /** @return the next memory reference in the stream. */
-    virtual Access next() = 0;
+    Access
+    next()
+    {
+        Access a;
+        fill(&a, 1);
+        return a;
+    }
 
     /**
      * @return the nominal working-set footprint of the stream in bytes

@@ -20,7 +20,8 @@ namespace rebudget::trace {
 
 /**
  * Probabilistic mixture: each access is drawn from sub-generator g with
- * probability weight[g] / sum(weights).
+ * probability weight[g] / sum(weights).  Weights must be positive and
+ * finite, with a finite sum.
  */
 class MixtureGen : public AddressGenerator
 {
@@ -41,7 +42,7 @@ class MixtureGen : public AddressGenerator
     MixtureGen(const MixtureGen &other);
     MixtureGen &operator=(const MixtureGen &) = delete;
 
-    Access next() override;
+    void fill(Access *out, size_t n) override;
     uint64_t footprintBytes() const override;
     std::unique_ptr<AddressGenerator> clone() const override;
 
@@ -72,7 +73,7 @@ class PhasedGen : public AddressGenerator
     PhasedGen(const PhasedGen &other);
     PhasedGen &operator=(const PhasedGen &) = delete;
 
-    Access next() override;
+    void fill(Access *out, size_t n) override;
     uint64_t footprintBytes() const override;
     std::unique_ptr<AddressGenerator> clone() const override;
 

@@ -34,7 +34,7 @@ class PointerChaseGen : public AddressGenerator
     PointerChaseGen(uint64_t base_addr, uint64_t working_set,
                     uint64_t line_bytes, uint64_t seed);
 
-    Access next() override;
+    void fill(Access *out, size_t n) override;
     uint64_t footprintBytes() const override { return workingSet_; }
     std::unique_ptr<AddressGenerator> clone() const override;
 

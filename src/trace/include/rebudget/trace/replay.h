@@ -35,7 +35,7 @@ class ReplayGen : public AddressGenerator
                        uint64_t base_addr = 0,
                        uint32_t line_bytes = 64);
 
-    Access next() override;
+    void fill(Access *out, size_t n) override;
     uint64_t footprintBytes() const override { return footprint_; }
     std::unique_ptr<AddressGenerator> clone() const override;
 

@@ -31,7 +31,7 @@ class StrideGen : public AddressGenerator
     StrideGen(uint64_t base_addr, uint64_t footprint, uint64_t stride_bytes,
               double write_fraction);
 
-    Access next() override;
+    void fill(Access *out, size_t n) override;
     uint64_t footprintBytes() const override { return footprint_; }
     std::unique_ptr<AddressGenerator> clone() const override;
 

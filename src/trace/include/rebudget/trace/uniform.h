@@ -32,7 +32,7 @@ class UniformWorkingSetGen : public AddressGenerator
                          uint64_t line_bytes, double write_fraction,
                          uint64_t seed);
 
-    Access next() override;
+    void fill(Access *out, size_t n) override;
     uint64_t footprintBytes() const override { return workingSet_; }
     std::unique_ptr<AddressGenerator> clone() const override;
 

@@ -35,7 +35,7 @@ class ZipfWorkingSetGen : public AddressGenerator
                       uint64_t line_bytes, double alpha,
                       double write_fraction, uint64_t seed);
 
-    Access next() override;
+    void fill(Access *out, size_t n) override;
     uint64_t footprintBytes() const override { return workingSet_; }
     std::unique_ptr<AddressGenerator> clone() const override;
 

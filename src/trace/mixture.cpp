@@ -1,6 +1,7 @@
 #include "rebudget/trace/mixture.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "rebudget/util/logging.h"
 
@@ -15,10 +16,12 @@ MixtureGen::MixtureGen(std::vector<Component> components, uint64_t seed)
     for (const auto &c : components_) {
         if (!c.gen)
             util::fatal("MixtureGen component has a null generator");
-        if (c.weight <= 0.0)
-            util::fatal("MixtureGen weights must be positive");
+        if (!(c.weight > 0.0 && std::isfinite(c.weight)))
+            util::fatal("MixtureGen weights must be positive and finite");
         sum += c.weight;
     }
+    if (!std::isfinite(sum))
+        util::fatal("MixtureGen weights must have a finite sum");
     cdf_.reserve(components_.size());
     double acc = 0.0;
     for (const auto &c : components_) {
@@ -36,13 +39,41 @@ MixtureGen::MixtureGen(const MixtureGen &other)
         components_.push_back(Component{c.gen->clone(), c.weight});
 }
 
-Access
-MixtureGen::next()
+void
+MixtureGen::fill(Access *out, size_t n)
 {
-    const double u = rng_.uniform();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    const size_t idx = static_cast<size_t>(it - cdf_.begin());
-    return components_[idx].gen->next();
+    // Per chunk of kBatchSize slots: draw every slot's component, then
+    // let each component fill its share in one batch and deal its
+    // references to the slots that picked it, in slot order.  The
+    // selector and the components own separate state, so each component
+    // produces the references it would under interleaved next() calls.
+    uint32_t pick[kBatchSize];
+    Access drawn[kBatchSize];
+    const double *cdf = cdf_.data();
+    const size_t parts = components_.size();
+    while (n > 0) {
+        const size_t len = std::min(n, kBatchSize);
+        util::Rng rng = rng_;
+        for (size_t i = 0; i < len; ++i) {
+            pick[i] = static_cast<uint32_t>(
+                std::lower_bound(cdf, cdf + parts, rng.uniform()) - cdf);
+        }
+        rng_ = rng;
+        for (uint32_t c = 0; c < parts; ++c) {
+            const auto share =
+                static_cast<size_t>(std::count(pick, pick + len, c));
+            if (share == 0)
+                continue;
+            components_[c].gen->fill(drawn, share);
+            const Access *next = drawn;
+            for (size_t i = 0; i < len; ++i) {
+                if (pick[i] == c)
+                    out[i] = *next++;
+            }
+        }
+        out += len;
+        n -= len;
+    }
 }
 
 uint64_t
@@ -81,15 +112,23 @@ PhasedGen::PhasedGen(const PhasedGen &other)
         phases_.push_back(Phase{p.gen->clone(), p.length});
 }
 
-Access
-PhasedGen::next()
+void
+PhasedGen::fill(Access *out, size_t n)
 {
-    if (remaining_ == 0) {
-        current_ = (current_ + 1) % phases_.size();
-        remaining_ = phases_[current_].length;
+    // Split the batch where the phase switches: on the first reference
+    // after a phase has run its length, as one next() at a time would.
+    while (n > 0) {
+        if (remaining_ == 0) {
+            current_ = (current_ + 1) % phases_.size();
+            remaining_ = phases_[current_].length;
+        }
+        const auto len =
+            static_cast<size_t>(std::min<uint64_t>(n, remaining_));
+        phases_[current_].gen->fill(out, len);
+        remaining_ -= len;
+        out += len;
+        n -= len;
     }
-    --remaining_;
-    return phases_[current_].gen->next();
 }
 
 uint64_t

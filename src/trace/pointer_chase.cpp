@@ -30,13 +30,18 @@ PointerChaseGen::PointerChaseGen(uint64_t base_addr, uint64_t working_set,
     current_ = order[0];
 }
 
-Access
-PointerChaseGen::next()
+void
+PointerChaseGen::fill(Access *out, size_t n)
 {
-    const Access a{baseAddr_ + static_cast<uint64_t>(current_) * lineBytes_,
-                   false};
-    current_ = nextLine_[current_];
-    return a;
+    const uint64_t base = baseAddr_;
+    const uint64_t line_bytes = lineBytes_;
+    const uint32_t *next_line = nextLine_.data();
+    uint32_t current = current_;
+    for (size_t i = 0; i < n; ++i) {
+        out[i] = Access{base + uint64_t{current} * line_bytes, false};
+        current = next_line[current];
+    }
+    current_ = current;
 }
 
 std::unique_ptr<AddressGenerator>

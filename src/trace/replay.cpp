@@ -27,13 +27,19 @@ ReplayGen::ReplayGen(std::vector<Access> accesses, uint64_t base_addr,
     footprint_ = static_cast<uint64_t>(lines.size()) * line_bytes;
 }
 
-Access
-ReplayGen::next()
+void
+ReplayGen::fill(Access *out, size_t n)
 {
-    Access a = accesses_[pos_];
-    a.addr += baseAddr_;
-    pos_ = (pos_ + 1) % accesses_.size();
-    return a;
+    const Access *trace = accesses_.data();
+    const size_t length = accesses_.size();
+    const uint64_t base = baseAddr_;
+    size_t pos = pos_;
+    for (size_t i = 0; i < n; ++i) {
+        out[i] = Access{base + trace[pos].addr, trace[pos].write};
+        if (++pos == length)
+            pos = 0;
+    }
+    pos_ = pos;
 }
 
 std::unique_ptr<AddressGenerator>

@@ -14,7 +14,7 @@ StrideGen::StrideGen(uint64_t base_addr, uint64_t footprint,
         util::fatal("StrideGen requires a non-zero footprint");
     if (stride_bytes == 0)
         util::fatal("StrideGen requires a non-zero stride");
-    if (write_fraction < 0.0 || write_fraction > 1.0)
+    if (!(write_fraction >= 0.0 && write_fraction <= 1.0))
         util::fatal("write_fraction must be in [0,1]");
     writePeriod_ = write_fraction > 0.0
                        ? static_cast<uint64_t>(std::llround(1.0 /
@@ -22,17 +22,26 @@ StrideGen::StrideGen(uint64_t base_addr, uint64_t footprint,
                        : 0;
 }
 
-Access
-StrideGen::next()
+void
+StrideGen::fill(Access *out, size_t n)
 {
-    Access a;
-    a.addr = baseAddr_ + offset_;
-    a.write = writePeriod_ != 0 && (count_ % writePeriod_) == 0 && count_ > 0;
-    offset_ += stride_;
-    if (offset_ >= footprint_)
-        offset_ = 0;
-    ++count_;
-    return a;
+    const uint64_t base = baseAddr_;
+    const uint64_t footprint = footprint_;
+    const uint64_t stride = stride_;
+    const uint64_t write_period = writePeriod_;
+    uint64_t offset = offset_;
+    uint64_t count = count_;
+    for (size_t i = 0; i < n; ++i) {
+        const bool write =
+            write_period != 0 && count % write_period == 0 && count > 0;
+        out[i] = Access{base + offset, write};
+        offset += stride;
+        if (offset >= footprint)
+            offset = 0;
+        ++count;
+    }
+    offset_ = offset;
+    count_ = count;
 }
 
 std::unique_ptr<AddressGenerator>

@@ -17,16 +17,24 @@ UniformWorkingSetGen::UniformWorkingSetGen(uint64_t base_addr,
         util::fatal("line_bytes must be a power of two");
     if (lines_ == 0)
         util::fatal("working set smaller than one line");
-    if (write_fraction < 0.0 || write_fraction > 1.0)
+    if (!(write_fraction >= 0.0 && write_fraction <= 1.0))
         util::fatal("write_fraction must be in [0,1]");
 }
 
-Access
-UniformWorkingSetGen::next()
+void
+UniformWorkingSetGen::fill(Access *out, size_t n)
 {
-    const uint64_t line = rng_.uniformInt(lines_);
-    return Access{baseAddr_ + line * lineBytes_,
-                  rng_.bernoulli(writeFraction_)};
+    util::Rng rng = rng_;
+    const uint64_t base = baseAddr_;
+    const uint64_t line_bytes = lineBytes_;
+    const uint64_t lines = lines_;
+    const double write_fraction = writeFraction_;
+    for (size_t i = 0; i < n; ++i) {
+        const uint64_t line = rng.uniformInt(lines);
+        out[i] = Access{base + line * line_bytes,
+                        rng.bernoulli(write_fraction)};
+    }
+    rng_ = rng;
 }
 
 std::unique_ptr<AddressGenerator>

@@ -33,7 +33,7 @@ ZipfWorkingSetGen::ZipfWorkingSetGen(uint64_t base_addr,
       writeFraction_(write_fraction),
       sampler_(checkedLines(working_set, line_bytes), alpha), rng_(seed)
 {
-    if (write_fraction < 0.0 || write_fraction > 1.0)
+    if (!(write_fraction >= 0.0 && write_fraction <= 1.0))
         util::fatal("write_fraction must be in [0,1]");
     // Scatter ranks across the footprint so that hot lines spread evenly
     // over cache sets rather than clustering at low set indices.
@@ -43,13 +43,22 @@ ZipfWorkingSetGen::ZipfWorkingSetGen(uint64_t base_addr,
     perm_rng.shuffle(rankToLine_);
 }
 
-Access
-ZipfWorkingSetGen::next()
+void
+ZipfWorkingSetGen::fill(Access *out, size_t n)
 {
-    const size_t rank = sampler_.sample(rng_);
-    const uint64_t line = rankToLine_[rank];
-    return Access{baseAddr_ + line * lineBytes_,
-                  rng_.bernoulli(writeFraction_)};
+    // The RNG state and the fields are held in locals for the batch, so
+    // a draw reads only the sampler's tables and the rank table.
+    util::Rng rng = rng_;
+    const uint32_t *rank_to_line = rankToLine_.data();
+    const uint64_t base = baseAddr_;
+    const uint64_t line_bytes = lineBytes_;
+    const double write_fraction = writeFraction_;
+    for (size_t i = 0; i < n; ++i) {
+        const uint64_t line = rank_to_line[sampler_.rankOf(rng.uniform())];
+        out[i] = Access{base + line * line_bytes,
+                        rng.bernoulli(write_fraction)};
+    }
+    rng_ = rng;
 }
 
 std::unique_ptr<AddressGenerator>

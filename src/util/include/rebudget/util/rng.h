@@ -12,11 +12,15 @@
  * statistical quality.
  */
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <string_view>
 #include <vector>
+
+#include "rebudget/util/logging.h"
 
 namespace rebudget::util {
 
@@ -29,7 +33,13 @@ uint64_t mix64(uint64_t x);
  */
 uint64_t hashId(std::string_view s);
 
-/** Deterministic xoshiro256++ generator with distribution helpers. */
+/**
+ * Deterministic xoshiro256++ generator with distribution helpers.
+ *
+ * The draws the trace generators make per reference (next, uniform,
+ * uniformInt, bernoulli) are defined here, so a generator that copies
+ * its Rng into a local for a batch keeps the state in registers.
+ */
 class Rng
 {
   public:
@@ -37,22 +47,50 @@ class Rng
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** @return the next raw 64-bit value. */
-    uint64_t next();
+    uint64_t
+    next()
+    {
+        const uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** @return a uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 random mantissa bits -> [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** @return a uniform double in [lo, hi). */
     double uniform(double lo, double hi);
 
     /** @return a uniform integer in [0, n) (n must be > 0). */
-    uint64_t uniformInt(uint64_t n);
+    uint64_t
+    uniformInt(uint64_t n)
+    {
+        REBUDGET_ASSERT(n > 0, "uniformInt requires n > 0");
+        // Rejection sampling to avoid modulo bias.
+        const uint64_t limit = UINT64_MAX - UINT64_MAX % n;
+        uint64_t x;
+        do {
+            x = next();
+        } while (x >= limit);
+        return x % n;
+    }
 
     /** @return a uniform integer in [lo, hi] inclusive. */
     int64_t uniformInt(int64_t lo, int64_t hi);
 
     /** @return true with probability p. */
-    bool bernoulli(double p);
+    bool bernoulli(double p) { return uniform() < p; }
 
     /** @return a sample from a normal distribution (Box-Muller). */
     double normal(double mean, double stddev);
@@ -112,11 +150,26 @@ class ZipfSampler
     ZipfSampler(size_t n, double alpha);
 
     /** Draw one sample in [0, n); consumes one Rng::uniform(). */
-    size_t sample(Rng &rng) const;
+    size_t sample(Rng &rng) const { return rankOf(rng.uniform()); }
 
     /** @return the rank a uniform draw u in [0, 1) maps to: the first
      * rank whose cumulative probability is >= u. */
-    size_t rankOf(double u) const;
+    size_t
+    rankOf(double u) const
+    {
+        REBUDGET_ASSERT(u >= 0.0 && u < 1.0, "Zipf draw outside [0, 1)");
+        // u * m is exact (m is a power of two), so j/m <= u < (j+1)/m.
+        // Every rank before guide_[j] has CDF < j/m <= u, and
+        // guide_[j + 1] has CDF >= (j+1)/m > u, so the first rank whose
+        // CDF is not < u lies in [guide_[j], guide_[j + 1]]: lower_bound
+        // over that range, which returns its end when no earlier rank
+        // qualifies, gives the whole table's answer, ties included.
+        const auto j = static_cast<size_t>(u * buckets_);
+        const double *cdf = cdf_.data();
+        const double *it =
+            std::lower_bound(cdf + guide_[j], cdf + guide_[j + 1], u);
+        return static_cast<size_t>(it - cdf);
+    }
 
     /** @return the population size. */
     size_t size() const { return cdf_.size(); }

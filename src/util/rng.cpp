@@ -1,6 +1,5 @@
 #include "rebudget/util/rng.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -18,12 +17,6 @@ splitmix64(uint64_t &x)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
-}
-
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
 }
 
 } // namespace
@@ -67,44 +60,10 @@ Rng::forStream(uint64_t seed, std::initializer_list<uint64_t> keys)
     return Rng(h);
 }
 
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 double
 Rng::uniform(double lo, double hi)
 {
     return lo + (hi - lo) * uniform();
-}
-
-uint64_t
-Rng::uniformInt(uint64_t n)
-{
-    REBUDGET_ASSERT(n > 0, "uniformInt requires n > 0");
-    // Rejection sampling to avoid modulo bias.
-    const uint64_t limit = UINT64_MAX - UINT64_MAX % n;
-    uint64_t x;
-    do {
-        x = next();
-    } while (x >= limit);
-    return x % n;
 }
 
 int64_t
@@ -113,12 +72,6 @@ Rng::uniformInt(int64_t lo, int64_t hi)
     REBUDGET_ASSERT(lo <= hi, "uniformInt requires lo <= hi");
     const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
     return lo + static_cast<int64_t>(uniformInt(span));
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
 }
 
 double
@@ -194,29 +147,6 @@ ZipfSampler::ZipfSampler(size_t n, double alpha)
             ++k;
         guide_[j] = static_cast<uint32_t>(k);
     }
-}
-
-size_t
-ZipfSampler::sample(Rng &rng) const
-{
-    return rankOf(rng.uniform());
-}
-
-size_t
-ZipfSampler::rankOf(double u) const
-{
-    REBUDGET_ASSERT(u >= 0.0 && u < 1.0, "Zipf draw outside [0, 1)");
-    // u * m is exact (m is a power of two), so j/m <= u < (j+1)/m.
-    // Every rank before guide_[j] has CDF < j/m <= u, and guide_[j + 1]
-    // has CDF >= (j+1)/m > u, so the first rank whose CDF is not < u
-    // lies in [guide_[j], guide_[j + 1]]: lower_bound over that range,
-    // which returns its end when no earlier rank qualifies, gives the
-    // whole table's answer, ties included.
-    const auto j = static_cast<size_t>(u * buckets_);
-    const double *cdf = cdf_.data();
-    const double *it =
-        std::lower_bound(cdf + guide_[j], cdf + guide_[j + 1], u);
-    return static_cast<size_t>(it - cdf);
 }
 
 double

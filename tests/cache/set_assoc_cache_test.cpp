@@ -1,5 +1,8 @@
 #include "rebudget/cache/set_assoc_cache.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "rebudget/util/logging.h"
@@ -35,6 +38,21 @@ TEST(SetAssocCache, RejectsBadGeometryBeforeDerivingSets)
                  util::FatalError);
     EXPECT_THROW(SetAssocCache(CacheConfig{1024, 4, 0}, 1),
                  util::FatalError);
+}
+
+// NaN and +inf used to pass the positivity check; an infinite scale
+// makes every futility of an owner's lines infinite (or NaN at age 0).
+TEST(SetAssocCache, RejectsNonPositiveOrNonFiniteScale)
+{
+    SetAssocCache cache(smallConfig(), 2);
+    EXPECT_THROW(cache.setScale(1, 0.0), util::FatalError);
+    EXPECT_THROW(cache.setScale(1, -1.0), util::FatalError);
+    EXPECT_THROW(cache.setScale(1, std::nan("")), util::FatalError);
+    EXPECT_THROW(cache.setScale(1, std::numeric_limits<double>::infinity()),
+                 util::FatalError);
+    EXPECT_EQ(cache.scale(1), 1.0);
+    cache.setScale(1, 2.5);
+    EXPECT_EQ(cache.scale(1), 2.5);
 }
 
 TEST(SetAssocCache, FirstAccessMissesSecondHits)

@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -77,6 +79,25 @@ TEST(UniformGen, RejectsBadParams)
                  util::FatalError);
     EXPECT_THROW(UniformWorkingSetGen(0, 1024, 64, 1.5, 1),
                  util::FatalError);
+}
+
+// A NaN write fraction used to pass the range check and then never
+// produce a write.
+TEST(UniformGen, RejectsNaNWriteFraction)
+{
+    EXPECT_THROW(UniformWorkingSetGen(0, 1024, 64, std::nan(""), 1),
+                 util::FatalError);
+}
+
+TEST(ZipfGen, RejectsNaNWriteFraction)
+{
+    EXPECT_THROW(ZipfWorkingSetGen(0, 1024, 64, 0.9, std::nan(""), 1),
+                 util::FatalError);
+}
+
+TEST(StrideGen, RejectsNaNWriteFraction)
+{
+    EXPECT_THROW(StrideGen(0, 1024, 64, std::nan("")), util::FatalError);
 }
 
 TEST(ZipfGen, HotLinesDominate)
@@ -266,6 +287,25 @@ TEST(MixtureGen, RejectsBadComponents)
     std::vector<MixtureGen::Component> comps;
     comps.push_back({std::make_unique<StrideGen>(0, 1024, 64, 0.0), -1.0});
     EXPECT_THROW(MixtureGen(std::move(comps), 1), util::FatalError);
+}
+
+// A NaN or infinite weight, or finite weights whose sum overflows,
+// used to turn the CDF into NaN or zeros, so every draw picked one
+// component.
+TEST(MixtureGen, RejectsNonFiniteWeights)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const std::vector<double> &weights :
+         {std::vector<double>{1.0, std::nan("")},
+          std::vector<double>{inf, 1.0},
+          std::vector<double>{1e308, 1e308}}) {
+        std::vector<MixtureGen::Component> comps;
+        for (const double w : weights)
+            comps.push_back(
+                {std::make_unique<StrideGen>(0, 1024, 64, 0.0), w});
+        EXPECT_THROW(MixtureGen(std::move(comps), 1), util::FatalError)
+            << weights[0] << ", " << weights[1];
+    }
 }
 
 TEST(PhasedGen, AlternatesPhases)

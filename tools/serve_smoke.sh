@@ -5,7 +5,9 @@
 #
 # Part A drives a live daemon over a Unix-domain socket: create a
 # market, tick, read the allocation back, exercise one typed-error
-# path, then shut the daemon down cleanly through the protocol.
+# path, then shut the daemon down cleanly through the protocol.  The
+# daemon's log must show the catalog profile before the socket (boot
+# order, DESIGN.md section 3.9).
 #
 # Part B replays the committed trace at --jobs 1, --jobs 2 and the
 # hardware default and asserts all three digests are bit-identical --
@@ -48,10 +50,11 @@ fail() {
 # Part A: live daemon round-trip over a Unix socket.
 # ----------------------------------------------------------------
 SOCK=$TMPDIR_SMOKE/rebudget.sock
+LOG=$TMPDIR_SMOKE/daemon.log
 # A stale socket file from a crashed previous run would make the
 # "daemon is up" probe below pass before bind(); clear it first.
 rm -f "$SOCK"
-"$DAEMON" --socket "$SOCK" --shards 4 --jobs 2 --tick-ms 0 &
+"$DAEMON" --socket "$SOCK" --shards 4 --jobs 2 --tick-ms 0 > "$LOG" 2>&1 &
 DAEMON_PID=$!
 
 for _ in $(seq 1 100); do
@@ -87,7 +90,16 @@ while kill -0 "$DAEMON_PID" 2>/dev/null; do
 done
 wait "$DAEMON_PID" || fail "daemon exited non-zero after Shutdown"
 DAEMON_PID=""
-echo "serve_smoke: part A (socket round-trip) OK"
+
+# Boot order: the profile line comes before the listening line.  An
+# order check only; how long the profile took is not bounded here.
+PROFILED=$(grep -n 'rebudgetd: profiled' "$LOG" | head -n 1 | cut -d: -f1)
+LISTENING=$(grep -n 'rebudgetd: listening on' "$LOG" | head -n 1 | cut -d: -f1)
+[ -n "$PROFILED" ] || fail "daemon log has no profile line: $(cat "$LOG")"
+[ -n "$LISTENING" ] || fail "daemon log has no listening line: $(cat "$LOG")"
+[ "$PROFILED" -lt "$LISTENING" ] \
+    || fail "daemon listened before it profiled: $(cat "$LOG")"
+echo "serve_smoke: part A (socket round-trip, boot order) OK"
 
 # ----------------------------------------------------------------
 # Part B: deterministic replay, digest stable across --jobs.
