@@ -106,8 +106,7 @@ main(int argc, char **argv)
                   util::formatDouble(static_cast<double>(kPhaseAccesses) /
                                          epoch_accesses, 1),
                   util::formatDouble(ci.mean, 3),
-                  "[" + util::formatDouble(ci.lo, 3) + ", " +
-                      util::formatDouble(ci.hi, 3) + "]"});
+                  util::formatInterval(ci.lo, ci.hi, 3)});
     }
     t.print(std::cout);
     std::cout << "\nWith several reallocations per phase the market "

@@ -76,8 +76,7 @@ main(int argc, char **argv)
             util::bootstrapMeanCI(eff_samples);
         t.addRow({util::formatDouble(steps[k], 1),
                   util::formatDouble(ci.mean, 3),
-                  "[" + util::formatDouble(ci.lo, 3) + ", " +
-                      util::formatDouble(ci.hi, 3) + "]",
+                  util::formatInterval(ci.lo, ci.hi, 3),
                   util::formatDouble(ef.mean(), 3),
                   util::formatDouble(ef.min(), 3),
                   util::formatDouble(mbr.mean(), 3),

@@ -4,11 +4,18 @@
 /**
  * @file
  * MaxEfficiency oracle: the (infeasible-at-runtime) allocation that
- * maximizes system efficiency, obtained by very fine-grained hill
- * climbing on the true utilities (paper Section 6).  Because the
- * utilities are concave per resource, a greedy marginal-utility fill
- * followed by exchange refinement converges to the optimum up to the
- * quantum granularity.
+ * maximizes system efficiency, approximated by very fine-grained hill
+ * climbing on the true utilities (paper Section 6): a greedy
+ * marginal-utility fill, then exchange refinement.  The search
+ * guarantees a full allocation from which no move of one quantum of
+ * one resource between two players raises total utility by more than
+ * 1e-12 (unless MaxEfficiencyConfig::refinePasses stops it first).
+ * For separable utilities (a sum of concave per-resource terms, such
+ * as market::PowerLawUtility) that is the optimum up to the quantum.
+ * The catalog's bilinear cache x power surfaces are not separable:
+ * gains that need both resources to move together stay out of reach,
+ * so the result can fall short of the optimum (DESIGN §3.4; ROADMAP,
+ * "Figure 4 divides by a local optimum").
  */
 
 #include "rebudget/core/allocator.h"

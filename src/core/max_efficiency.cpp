@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "rebudget/util/logging.h"
 
@@ -60,15 +62,86 @@ usableWarmAlloc(const AllocationProblem &problem,
 }
 
 /**
+ * Tournament tree over n keys: top() is the first index whose key is
+ * greatest, the index a left-to-right scan that replaces its pick only
+ * on a strictly greater key would return.  Each internal node holds the
+ * winner of its two children, the left one unless the right key is
+ * strictly greater, so set() re-plays one leaf's path to the root in
+ * O(log n).  Keys must not be NaN.  Padding leaves hold -inf and lie
+ * right of every real one, so a tie never puts one on top.
+ */
+class ArgmaxTree
+{
+  public:
+    explicit ArgmaxTree(size_t n)
+        : n_(n), leaves_(std::bit_ceil(std::max<size_t>(n, 1))),
+          key_(2 * leaves_, -std::numeric_limits<double>::infinity()),
+          win_(2 * leaves_)
+    {
+        for (size_t i = 0; i < leaves_; ++i)
+            win_[leaves_ + i] = i;
+        for (size_t k = leaves_; k-- > 1;)
+            win_[k] = win_[2 * k];
+    }
+
+    void set(size_t i, double key)
+    {
+        size_t k = leaves_ + i;
+        key_[k] = key;
+        for (k /= 2; k > 0; k /= 2) {
+            const size_t pick = key_[2 * k + 1] > key_[2 * k] ? 2 * k + 1
+                                                              : 2 * k;
+            key_[k] = key_[pick];
+            win_[k] = win_[pick];
+        }
+    }
+
+    size_t top() const { return win_[1]; }
+    double topKey() const { return key_[1]; }
+    /** The n keys in index order. */
+    std::span<const double> keys() const
+    {
+        return {key_.data() + leaves_, n_};
+    }
+
+  private:
+    size_t n_;
+    size_t leaves_;
+    std::vector<double> key_;
+    std::vector<size_t> win_;
+};
+
+/**
+ * Each player's bilinearSurface() when the market has two resources,
+ * else null; a non-null surface is read inline in place of the
+ * model's utility() and marginal(), which equal it bit for bit.
+ */
+std::vector<const market::BilinearSurface *>
+playerSurfaces(const AllocationProblem &problem)
+{
+    std::vector<const market::BilinearSurface *> surfaces(
+        problem.models.size(), nullptr);
+    if (problem.capacities.size() == 2) {
+        for (size_t i = 0; i < surfaces.size(); ++i)
+            surfaces[i] = problem.models[i]->bilinearSurface();
+    }
+    return surfaces;
+}
+
+/**
  * Greedy fill: hand out quanta of each resource, interleaved, to the
  * player with the largest marginal utility at its current bundle
- * (first strictly greater wins ties).  Each player's marginals are
- * cached and recomputed only when its row grows; utility models are
- * pure functions of (model, row), so a cached entry is the double a
- * fresh marginal() call would return.
+ * (first strictly greater wins ties).  Each resource's marginals sit in
+ * an ArgmaxTree, and only the row that received a quantum is
+ * re-evaluated; utility models are pure functions of (model, row), so
+ * a cached entry is the double a fresh marginal() call would return.
+ * The pick is the one a scan from best = -1 made: a marginal that is
+ * NaN or <= -1 never wins, so it enters as -inf, and when none is above
+ * -1 every key is -inf and the tie rule leaves player 0 on top.
  */
 void
 greedyFill(const AllocationProblem &problem,
+           const std::vector<const market::BilinearSurface *> &surfaces,
            const std::vector<double> &quantum, util::Matrix<double> &alloc)
 {
     const size_t n = problem.models.size();
@@ -76,11 +149,22 @@ greedyFill(const AllocationProblem &problem,
     alloc.assign(n, m, 0.0);
     std::vector<double> remaining = problem.capacities;
 
-    // Resource-major so the per-quantum argmax scans a contiguous row.
-    util::Matrix<double> marginals(m, n);
+    std::vector<ArgmaxTree> trees(m, ArgmaxTree(n));
+    auto enter = [&](size_t k, size_t i, double marginal) {
+        trees[k].set(i, marginal > -1.0
+                            ? marginal
+                            : -std::numeric_limits<double>::infinity());
+    };
     auto refresh = [&](size_t i) {
+        if (const market::BilinearSurface *s = surfaces[i]) {
+            double g0 = 0.0, g1 = 0.0;
+            s->gradient(alloc(i, 0), alloc(i, 1), g0, g1);
+            enter(0, i, g0);
+            enter(1, i, g1);
+            return;
+        }
         for (size_t k = 0; k < m; ++k)
-            marginals(k, i) = problem.models[i]->marginal(k, alloc[i]);
+            enter(k, i, problem.models[i]->marginal(k, alloc[i]));
     };
     for (size_t i = 0; i < n; ++i)
         refresh(i);
@@ -92,15 +176,7 @@ greedyFill(const AllocationProblem &problem,
             if (remaining[j] <= 1e-12 * problem.capacities[j])
                 continue;
             const double q = std::min(quantum[j], remaining[j]);
-            const std::span<const double> column = marginals[j];
-            size_t best = 0;
-            double best_m = -1.0;
-            for (size_t i = 0; i < n; ++i) {
-                if (column[i] > best_m) {
-                    best_m = column[i];
-                    best = i;
-                }
-            }
+            const size_t best = trees[j].top();
             alloc(best, j) += q;
             remaining[j] -= q;
             refresh(best);
@@ -132,9 +208,10 @@ firstAbove(std::span<const double> keys, size_t from, double bound)
  * Exchange refinement: try moving one quantum between every ordered
  * player pair; accept any exchange that improves total utility.
  * Marginals are only local slopes, so the acceptance test compares
- * the actual utilities across the whole quantum.  When no pair
- * exchange improves, the allocation is optimal up to the quantum
- * granularity (utilities are concave per resource).
+ * the actual utilities across the whole quantum.  The search stops at
+ * an allocation no single-resource, one-quantum exchange improves;
+ * that is the optimum up to the quantum only for separable utilities
+ * (DESIGN §3.4).
  *
  * Each player keeps u(x_i), u(x_i - q_j e_j) and u(x_i + q_j e_j) for
  * every resource j, all evaluated at the bits now stored in row i; a
@@ -145,19 +222,24 @@ firstAbove(std::span<const double> keys, size_t from, double bound)
  * which is not always x: the allocation and hillClimbSteps must equal,
  * bit for bit, those of a climb that applies, evaluates and reverts
  * every move (tests/core/max_efficiency_reference_test.cpp keeps that
- * climb as the reference).
+ * climb as the reference).  After an accepted move, a shifted row whose
+ * bits are the row's bits before the move (the donor's x - q + q, the
+ * recipient's x + q - q, when exact) takes the u the row had then.
  *
  * Most pairs fail the test and write nothing, so a donor passes over a
  * recipient with one compare when the test must fail and both round
  * trips are exact (DESIGN §3.4 derives the margin): key(j, r) is the
  * recipient's cached gain u(x_r + q_j e_j) - u(x_r), or +inf when that
- * gain is not finite or (x_rj + q_j) - q_j is not x_rj.  Every pair
- * reached is tested exactly as above, in the same order.
+ * gain is not finite or (x_rj + q_j) - q_j is not x_rj.  Each
+ * resource's keys sit in an ArgmaxTree, so a donor with no key above
+ * its bound is passed over in O(1).  Every pair reached is tested
+ * exactly as above, in the same order.
  *
  * @return the number of accepted exchanges.
  */
 std::int64_t
 refineExchanges(const AllocationProblem &problem,
+                const std::vector<const market::BilinearSurface *> &surfaces,
                 const std::vector<double> &quantum, int passes,
                 util::Matrix<double> &alloc)
 {
@@ -170,37 +252,45 @@ refineExchanges(const AllocationProblem &problem,
     // A minus entry is only defined (and only read) while x_ij >= q_j.
     util::Matrix<double> minus(m, n, 0.0);
     util::Matrix<double> plus(m, n, 0.0);
-    util::Matrix<double> key(m, n, kInf);
+    std::vector<ArgmaxTree> key(m, ArgmaxTree(n));
     // Largest |u| over the finite utilities evaluated so far.
     double umax = 0.0;
-    auto track = [&](double v) {
+    auto utilityAt = [&](size_t i, std::span<const double> row) {
+        const market::BilinearSurface *s = surfaces[i];
+        const double v = s != nullptr ? s->utility(row[0], row[1])
+                                      : problem.models[i]->utility(row);
         if (std::isfinite(v))
             umax = std::max(umax, std::abs(v));
         return v;
     };
-    // Requires u[i] to be current for row i.
-    auto evalShifts = [&](size_t i) {
-        const market::UtilityModel &model = *problem.models[i];
+    // Requires u[i] to be current for row i.  Row i held `was` at
+    // resource `moved` and had utility `u_was` before its last move
+    // (moved == m: no move).
+    auto evalShifts = [&](size_t i, size_t moved, double was, double u_was) {
         const std::span<double> row = alloc[i];
+        auto shifted = [&](size_t k) {
+            return k == moved && sameBits(row[k], was) ? u_was
+                                                       : utilityAt(i, row);
+        };
         for (size_t k = 0; k < m; ++k) {
             const double x = row[k];
             row[k] = x + quantum[k];
-            plus(k, i) = track(model.utility(row));
+            plus(k, i) = shifted(k);
             const double gain = plus(k, i) - u[i];
-            key(k, i) = std::isfinite(gain) &&
-                                sameBits(row[k] - quantum[k], x)
-                            ? gain
-                            : kInf;
+            key[k].set(i, std::isfinite(gain) &&
+                                  sameBits(row[k] - quantum[k], x)
+                              ? gain
+                              : kInf);
             if (!(x < quantum[k])) {
                 row[k] = x - quantum[k];
-                minus(k, i) = track(model.utility(row));
+                minus(k, i) = shifted(k);
             }
             row[k] = x;
         }
     };
     auto evalRow = [&](size_t i) {
-        u[i] = track(problem.models[i]->utility(alloc[i]));
-        evalShifts(i);
+        u[i] = utilityAt(i, alloc[i]);
+        evalShifts(i, m, 0.0, 0.0);
     };
     auto storeRoundTrip = [&](size_t i, size_t j, double v) {
         if (sameBits(v, alloc(i, j)))
@@ -216,7 +306,8 @@ refineExchanges(const AllocationProblem &problem,
         bool improved = false;
         for (size_t j = 0; j < m; ++j) {
             const double q = quantum[j];
-            const std::span<const double> keys = key[j];
+            const ArgmaxTree &tree = key[j];
+            const std::span<const double> keys = tree.keys();
             // The donor tests a recipient only if its key exceeds this
             // bound: +inf while x_dj < q (no pair is tested), -inf when
             // the donor's round trip is inexact or its loss is not
@@ -233,6 +324,8 @@ refineExchanges(const AllocationProblem &problem,
             };
             for (size_t donor = 0; donor < n; ++donor) {
                 double bound = donorBound(donor);
+                if (!(tree.topKey() > bound))
+                    continue;
                 for (size_t rcpt = firstAbove(keys, 0, bound); rcpt < n;
                      rcpt = firstAbove(keys, rcpt + 1, bound)) {
                     if (rcpt == donor)
@@ -242,12 +335,16 @@ refineExchanges(const AllocationProblem &problem,
                     if (after > before + 1e-12) {
                         // The moved rows are exactly the ones the
                         // shifted entries were evaluated at.
+                        const double donor_was = alloc(donor, j);
+                        const double rcpt_was = alloc(rcpt, j);
+                        const double u_donor_was = u[donor];
+                        const double u_rcpt_was = u[rcpt];
                         u[donor] = minus(j, donor);
                         u[rcpt] = plus(j, rcpt);
                         alloc(donor, j) -= q;
                         alloc(rcpt, j) += q;
-                        evalShifts(donor);
-                        evalShifts(rcpt);
+                        evalShifts(donor, j, donor_was, u_donor_was);
+                        evalShifts(rcpt, j, rcpt_was, u_rcpt_was);
                         improved = true;
                         ++steps;
                     } else {
@@ -290,20 +387,25 @@ MaxEfficiencyAllocator::allocate(const AllocationProblem &problem) const
     std::vector<double> quantum(m);
     for (size_t j = 0; j < m; ++j)
         quantum[j] = problem.capacities[j] * config_.quantumFraction;
+    const std::vector<const market::BilinearSurface *> surfaces =
+        playerSurfaces(problem);
 
     if (usableWarmAlloc(problem, problem.warmStart)) {
         // Warm start: resume from the prior allocation (the previous
         // epoch's optimum is a near-optimal point when utilities drift
         // slowly) and let the exchange refinement move what changed.
-        // This skips the greedy fill without losing optimality: for
-        // per-resource concave utilities, exchange-local optimality is
-        // quantum-optimal from any full allocation.
+        // For separable utilities (PowerLawUtility) exchange-local
+        // optimality is quantum-optimal from any full allocation, so
+        // skipping the fill loses nothing.  On the catalog's bilinear
+        // surfaces it is not: a warm and a cold climb can stop at
+        // different local optima (ROADMAP, "Figure 4 divides by a
+        // local optimum").
         alloc = problem.warmStart->alloc;
     } else {
-        greedyFill(problem, quantum, alloc);
+        greedyFill(problem, surfaces, quantum, alloc);
     }
-    outcome.stats.hillClimbSteps +=
-        refineExchanges(problem, quantum, config_.refinePasses, alloc);
+    outcome.stats.hillClimbSteps += refineExchanges(
+        problem, surfaces, quantum, config_.refinePasses, alloc);
 
     // Allocation-only warm-start seed (bids empty: the oracle never runs
     // a market); the next epoch resumes refinement from here.

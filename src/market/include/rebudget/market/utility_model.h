@@ -30,10 +30,10 @@ namespace rebudget::market {
  * and a saturated axis (total at or past its last knot) has slope 0.
  *
  * A value type that owns its knots and samples, so copying a model that
- * holds one never leaves a pointer into another model's storage.  The
- * gradient is inline: the market's two-resource hill climb
- * (hillClimbPair in bidding.h) evaluates it in place of a virtual
- * UtilityModel::gradient() call on every step.
+ * holds one never leaves a pointer into another model's storage.  Every
+ * evaluation is inline: the market's two-resource hill climb
+ * (hillClimbPair in bidding.h), the MaxEfficiency oracle and scoring
+ * read it in place of virtual UtilityModel calls.
  *
  * Knots must be non-decreasing per axis with >= 2 entries (owners
  * validate; AppUtilityModel requires them finite and strictly
@@ -264,13 +264,16 @@ class UtilityModel
     virtual const double *hotQuads() const { return nullptr; }
 
     /**
-     * Optional bilinear surface this two-resource model's gradient()
-     * is exactly (bit for bit).  The market's hill climb and rescale
-     * evaluate it inline instead of calling gradient() through the
-     * vtable.  Models that are not a bare bilinear surface return
-     * nullptr (the default) -- including wrappers around one, whose
-     * gradient differs.  The surface must stay valid and immutable for
-     * the model's lifetime.
+     * Optional bilinear surface this two-resource model is exactly:
+     * for every allocation (a0, a1), utility(), marginal(k) and
+     * gradient() return, bit for bit, the surface's utility(a0, a1),
+     * marginal(k, a0, a1) and gradient(a0, a1).  The market's hill
+     * climb and rescale, the MaxEfficiency oracle and scoring
+     * (ownAndBestUtilities) evaluate it inline instead of calling the
+     * model through the vtable.  Models that are not a bare bilinear
+     * surface return nullptr (the default) -- including wrappers
+     * around one, whose values differ.  The surface must stay valid
+     * and immutable for the model's lifetime.
      */
     virtual const BilinearSurface *bilinearSurface() const
     {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "rebudget/util/logging.h"
 #include "rebudget/util/rng.h"
@@ -221,9 +222,14 @@ ownAndBestUtilities(const std::vector<const UtilityModel *> &models,
     std::vector<double> values(rows.size());
     for (const size_t first : model_firsts) {
         const UtilityModel *model = models[first];
+        // A catalog model's utility() is its surface's, bit for bit.
+        const BilinearSurface *surface =
+            alloc.cols() == 2 ? model->bilinearSurface() : nullptr;
         double top = -std::numeric_limits<double>::infinity();
         for (size_t c = 0; c < rows.size(); ++c) {
-            values[c] = model->utility(alloc[rows[c]]);
+            const std::span<const double> row = alloc[rows[c]];
+            values[c] = surface != nullptr ? surface->utility(row[0], row[1])
+                                           : model->utility(row);
             top = std::max(top, values[c]);
         }
         for (size_t i = first; i != kNone; i = next[i]) {

@@ -46,31 +46,31 @@ trailingError(const char *opcode, std::size_t extra)
 void
 encodeRequestPayload(const Request &req, std::vector<std::uint8_t> &p)
 {
-    if (const auto *r = std::get_if<CreateMarket>(&req)) {
+    if (const auto *create = std::get_if<CreateMarket>(&req)) {
         putU8(p, static_cast<std::uint8_t>(Opcode::CreateMarket));
-        putU64(p, r->market);
-        putU16(p, static_cast<std::uint16_t>(r->tenants.size()));
-        for (const auto &t : r->tenants) {
+        putU64(p, create->market);
+        putU16(p, static_cast<std::uint16_t>(create->tenants.size()));
+        for (const auto &t : create->tenants) {
             putU64(p, t.tenant);
             putString(p, t.app);
         }
-    } else if (const auto *r = std::get_if<SubmitDemand>(&req)) {
+    } else if (const auto *demand = std::get_if<SubmitDemand>(&req)) {
         putU8(p, static_cast<std::uint8_t>(Opcode::SubmitDemand));
-        putU64(p, r->market);
-        putU64(p, r->tenant);
-        putF64(p, r->weight);
-    } else if (const auto *r = std::get_if<JoinTenant>(&req)) {
+        putU64(p, demand->market);
+        putU64(p, demand->tenant);
+        putF64(p, demand->weight);
+    } else if (const auto *join = std::get_if<JoinTenant>(&req)) {
         putU8(p, static_cast<std::uint8_t>(Opcode::JoinTenant));
-        putU64(p, r->market);
-        putU64(p, r->tenant);
-        putString(p, r->app);
-    } else if (const auto *r = std::get_if<LeaveTenant>(&req)) {
+        putU64(p, join->market);
+        putU64(p, join->tenant);
+        putString(p, join->app);
+    } else if (const auto *leave = std::get_if<LeaveTenant>(&req)) {
         putU8(p, static_cast<std::uint8_t>(Opcode::LeaveTenant));
-        putU64(p, r->market);
-        putU64(p, r->tenant);
-    } else if (const auto *r = std::get_if<GetAllocation>(&req)) {
+        putU64(p, leave->market);
+        putU64(p, leave->tenant);
+    } else if (const auto *query = std::get_if<GetAllocation>(&req)) {
         putU8(p, static_cast<std::uint8_t>(Opcode::GetAllocation));
-        putU64(p, r->market);
+        putU64(p, query->market);
     } else if (std::get_if<GetStats>(&req)) {
         putU8(p, static_cast<std::uint8_t>(Opcode::GetStats));
     } else if (std::get_if<Shutdown>(&req)) {
@@ -94,20 +94,20 @@ encodeResponse(const Response &resp, std::vector<std::uint8_t> &out)
     std::vector<std::uint8_t> p;
     if (std::get_if<AckReply>(&resp)) {
         putU8(p, static_cast<std::uint8_t>(ReplyOpcode::Ack));
-    } else if (const auto *r = std::get_if<ErrorReply>(&resp)) {
+    } else if (const auto *error = std::get_if<ErrorReply>(&resp)) {
         putU8(p, static_cast<std::uint8_t>(ReplyOpcode::Error));
-        putU8(p, static_cast<std::uint8_t>(r->code));
-        p.insert(p.end(), r->message.begin(), r->message.end());
-    } else if (const auto *r = std::get_if<AllocationReply>(&resp)) {
+        putU8(p, static_cast<std::uint8_t>(error->code));
+        p.insert(p.end(), error->message.begin(), error->message.end());
+    } else if (const auto *reply = std::get_if<AllocationReply>(&resp)) {
         putU8(p, static_cast<std::uint8_t>(ReplyOpcode::Allocation));
-        putU64(p, r->market);
-        putU64(p, r->tick);
-        putU8(p, r->converged ? 1 : 0);
-        putU16(p, static_cast<std::uint16_t>(r->prices.size()));
-        for (const double price : r->prices)
+        putU64(p, reply->market);
+        putU64(p, reply->tick);
+        putU8(p, reply->converged ? 1 : 0);
+        putU16(p, static_cast<std::uint16_t>(reply->prices.size()));
+        for (const double price : reply->prices)
             putF64(p, price);
-        putU16(p, static_cast<std::uint16_t>(r->players.size()));
-        for (const auto &t : r->players) {
+        putU16(p, static_cast<std::uint16_t>(reply->players.size()));
+        for (const auto &t : reply->players) {
             putU64(p, t.tenant);
             putF64(p, t.budget);
             putF64(p, t.lambda);

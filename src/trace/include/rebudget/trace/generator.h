@@ -21,13 +21,18 @@
 
 namespace rebudget::trace {
 
-/** One memory reference. */
+/**
+ * One memory reference.  No default member initializers: replay loops
+ * keep kBatchSize-entry batches on the stack, and every fill() writes
+ * both fields of each entry it hands out, so zeroing 4 KiB per batch
+ * would be wasted.  Value-initialize (Access{}) where zeros are wanted.
+ */
 struct Access
 {
     /** Byte address. */
-    uint64_t addr = 0;
+    uint64_t addr;
     /** True for stores. */
-    bool write = false;
+    bool write;
 };
 
 /**
@@ -57,7 +62,7 @@ class AddressGenerator
     Access
     next()
     {
-        Access a;
+        Access a{};
         fill(&a, 1);
         return a;
     }

@@ -72,7 +72,7 @@ loadTraceFile(const std::string &path)
             util::fatal("%s:%zu: missing address", path.c_str(),
                         lineno);
         }
-        Access a;
+        Access a{};
         if (kind == "R" || kind == "r") {
             a.write = false;
         } else if (kind == "W" || kind == "w") {

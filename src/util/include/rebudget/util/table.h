@@ -53,6 +53,9 @@ class TablePrinter
 /** Format a double with fixed decimals (helper for table rows). */
 std::string formatDouble(double v, int precision = 4);
 
+/** Format a confidence interval as "[lo, hi]", both with fixed decimals. */
+std::string formatInterval(double lo, double hi, int precision = 4);
+
 /** Print a visually separated section banner for bench output. */
 void printBanner(std::ostream &os, const std::string &title);
 

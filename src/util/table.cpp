@@ -87,6 +87,15 @@ formatDouble(double v, int precision)
     return ss.str();
 }
 
+std::string
+formatInterval(double lo, double hi, int precision)
+{
+    std::ostringstream ss;
+    ss << std::fixed << std::setprecision(precision) << '[' << lo << ", "
+       << hi << ']';
+    return ss.str();
+}
+
 void
 printBanner(std::ostream &os, const std::string &title)
 {

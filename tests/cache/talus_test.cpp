@@ -112,8 +112,9 @@ TEST(TalusRoute, MonotoneInFraction)
     // A line routed to A at fraction f stays in A for all f' > f
     // (consistent hashing: growing A never reshuffles B-resident lines).
     for (uint64_t line = 0; line < 1000; ++line) {
-        if (talusRouteToA(line, 0.3))
+        if (talusRouteToA(line, 0.3)) {
             EXPECT_TRUE(talusRouteToA(line, 0.6));
+        }
     }
 }
 

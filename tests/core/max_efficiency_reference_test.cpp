@@ -1,18 +1,20 @@
 /**
  * @file
  * Bit-identicality regression for the MaxEfficiency oracle.  The
- * production allocator caches per-player marginals and shifted
- * utilities, calls a utility model only after a row changes, and
- * passes over pairs whose exchange test must fail without side
- * effects; a verbatim port of the uncached climb lives below (greedy
- * fill that evaluates every player's marginal per quantum, exchange
- * refinement that applies each move, evaluates four utilities and
- * reverts).  The allocation and hillClimbSteps must match it bit for
- * bit -- cold and warm, at coarse and fine quanta -- on the full fig04
- * suite, on fault-damaged fig04 models, on 100- and 256-player
- * rosters, on random power-law markets, on linear players whose pair
- * tests sit at the acceptance threshold, and on a model with NaN and
- * infinite regions.
+ * production allocator keeps per-player marginals in a tournament tree
+ * per resource, caches shifted utilities, reads catalog surfaces
+ * inline, calls a utility model only after a row changes, and passes
+ * over pairs whose exchange test must fail without side effects; a
+ * verbatim port of the uncached climb lives below (greedy fill that
+ * scans every player's marginal per quantum, exchange refinement that
+ * applies each move, evaluates four utilities and reverts).  The
+ * allocation and hillClimbSteps must match it bit for bit -- cold and
+ * warm, at coarse and fine quanta -- on the full fig04 suite, on
+ * fault-damaged fig04 models, on 100- and 256-player rosters, on
+ * random power-law markets, on linear players whose pair tests sit at
+ * the acceptance threshold, on a model with NaN and infinite regions,
+ * and on players whose marginals meet every tie, NaN and <= -1 rule of
+ * the fill's pick.
  *
  * The port also counts, per side, the rejected moves whose
  * apply-and-revert round trip did not restore a coordinate's bits, so
@@ -26,6 +28,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <span>
@@ -77,6 +80,7 @@ struct RefOutcome
 };
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 bool
 sameBits(double a, double b)
@@ -587,6 +591,75 @@ TEST(MaxEfficiencyReference, BitIdenticalWithNonFiniteUtilities)
     EXPECT_GT(counts.nanUtilities, 0);
     EXPECT_GT(counts.posInfUtilities, 0);
     EXPECT_GT(counts.negInfUtilities, 0);
+}
+
+/**
+ * u = sum_j (b_j x_j - c_j x_j^2 / 2), with marginal b_j - c_j x_j:
+ * falling as the player's share grows from b_j, NaN when b_j is.
+ */
+class QuadraticUtility : public market::UtilityModel
+{
+  public:
+    QuadraticUtility(std::vector<double> b, std::vector<double> c)
+        : b_(std::move(b)), c_(std::move(c))
+    {
+    }
+
+    size_t numResources() const override { return b_.size(); }
+    double utility(std::span<const double> x) const override
+    {
+        double u = 0.0;
+        for (size_t j = 0; j < b_.size(); ++j)
+            u += b_[j] * x[j] - 0.5 * c_[j] * x[j] * x[j];
+        return u;
+    }
+    double marginal(size_t j, std::span<const double> x) const override
+    {
+        return b_[j] - c_[j] * x[j];
+    }
+
+  private:
+    std::vector<double> b_;
+    std::vector<double> c_;
+};
+
+TEST(MaxEfficiencyReference, BitIdenticalFillPicks)
+{
+    // Cold climbs of 2-9 players on 1-2 resources whose marginals start
+    // on, just above and below -1, at +/-0, +/-inf and NaN, and fall as
+    // a share grows, so the fill's pick meets every rule of the scan it
+    // replaced: the first strictly greater marginal wins a tie, NaN and
+    // anything <= -1 never win, and player 0 takes the quantum once no
+    // marginal is above -1.
+    const double starts[] = {kNaN, -kInf, -2.0, -1.0,
+                             std::nextafter(-1.0, 0.0), -0.5, -0.0, 0.0,
+                             0.25, 1.0, kInf};
+    const double slopes[] = {0.0, 0.5, 4.0};
+    util::Rng rng(2101);
+    for (int trial = 0; trial < 600; ++trial) {
+        const size_t m = 1 + rng.uniformInt(uint64_t{2});
+        const size_t n = 2 + rng.uniformInt(uint64_t{8});
+        AllocationProblem problem;
+        for (size_t j = 0; j < m; ++j)
+            problem.capacities.push_back(rng.uniform(0.5, 2));
+        std::vector<QuadraticUtility> models;
+        for (size_t i = 0; i < n; ++i) {
+            std::vector<double> b, c;
+            for (size_t j = 0; j < m; ++j) {
+                b.push_back(starts[rng.uniformInt(std::size(starts))]);
+                c.push_back(slopes[rng.uniformInt(std::size(slopes))]);
+            }
+            models.emplace_back(std::move(b), std::move(c));
+        }
+        for (const auto &model : models)
+            problem.models.push_back(&model);
+        MaxEfficiencyConfig config;
+        config.quantumFraction = 1.0 / 32.0;
+        expectMatchesReference(problem, config, nullptr,
+                               "trial " + std::to_string(trial));
+        if (HasFailure())
+            return;
+    }
 }
 
 } // namespace

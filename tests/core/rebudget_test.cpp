@@ -132,8 +132,9 @@ TEST(ReBudget, CutsOnlyLowLambdaPlayers)
     const double max_lambda =
         *std::max_element(out.lambdas.begin(), out.lambdas.end());
     for (size_t i = 0; i < out.budgets.size(); ++i) {
-        if (out.budgets[i] < 100.0 - 1e-9)
+        if (out.budgets[i] < 100.0 - 1e-9) {
             EXPECT_LT(out.lambdas[i], max_lambda + 1e-12);
+        }
     }
 }
 

@@ -97,8 +97,9 @@ TEST(FaultInjector, CurveNoiseIsDeterministicAndRepaired)
     for (size_t i = 0; i < samples.size(); ++i) {
         EXPECT_TRUE(std::isfinite(samples[i]));
         EXPECT_GE(samples[i], 0.0);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LE(samples[i], samples[i - 1]);
+        }
     }
     // Noise at 30% relative will produce monotone violations on this
     // curve; the repair must have been recorded.
@@ -237,10 +238,12 @@ TEST(FaultInjector, GridCorruptionIsSanitizedAndDeterministic)
             const double v = out1->gridValue(ci, pi);
             EXPECT_TRUE(std::isfinite(v));
             EXPECT_GE(v, 0.0);
-            if (ci > 0)
+            if (ci > 0) {
                 EXPECT_GE(v, out1->gridValue(ci - 1, pi));
-            if (pi > 0)
+            }
+            if (pi > 0) {
                 EXPECT_GE(v, out1->gridValue(ci, pi - 1));
+            }
         }
     }
 }

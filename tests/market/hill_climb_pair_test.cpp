@@ -12,7 +12,10 @@
  *    catalog surfaces (the inline gradient) and power-law models (the
  *    virtual gradient);
  *  - BilinearSurface's gradient, value and cell lookup against the
- *    upper_bound interpolant, NaN and infinite coordinates included.
+ *    upper_bound interpolant, NaN and infinite coordinates included;
+ *  - every catalog model's utility(), marginal() and gradient() against
+ *    its surface over the same probes, clean and rebuilt from damaged
+ *    raw grids (the contract behind bilinearSurface()).
  */
 
 #include "rebudget/market/bidding.h"
@@ -31,6 +34,8 @@
 #include "rebudget/app/catalog.h"
 #include "rebudget/app/utility.h"
 #include "rebudget/eval/bundle_runner.h"
+#include "rebudget/faults/fault_injector.h"
+#include "rebudget/faults/fault_plan.h"
 #include "rebudget/util/rng.h"
 #include "reference_climb.h"
 
@@ -395,14 +400,79 @@ probeExtras(const std::vector<double> &knots, double min, util::Rng &rng)
     return xs;
 }
 
+/**
+ * The model's utility(), marginal(k) and gradient() against its
+ * surface at (a0, a1), bit for bit: the bilinearSurface() contract
+ * that lets callers read the surface in place of the model.
+ */
+void
+expectModelIsItsSurface(const UtilityModel &model, const BilinearSurface &s,
+                        double a0, double a1, const std::string &what)
+{
+    const double alloc[2] = {a0, a1};
+    double g0 = -1.0, g1 = -1.0;
+    s.gradient(a0, a1, g0, g1);
+    double got[2] = {-1.0, -1.0};
+    model.gradient(alloc, got);
+    const std::string ctx = what + " model at (" + std::to_string(a0) +
+                            ", " + std::to_string(a1) + ")";
+    EXPECT_EQ(bitsOf(model.utility(alloc)), bitsOf(s.utility(a0, a1)))
+        << ctx;
+    EXPECT_EQ(bitsOf(model.marginal(0, alloc)),
+              bitsOf(s.marginal(0, a0, a1)))
+        << ctx;
+    EXPECT_EQ(bitsOf(model.marginal(1, alloc)),
+              bitsOf(s.marginal(1, a0, a1)))
+        << ctx;
+    EXPECT_EQ(bitsOf(got[0]), bitsOf(g0)) << ctx;
+    EXPECT_EQ(bitsOf(got[1]), bitsOf(g1)) << ctx;
+}
+
+/**
+ * catalogModels() rebuilt from damaged raw grids as the corrupt-grid
+ * fault plan rebuilds them, plus one malformed grid that degrades to
+ * the flat fallback surface.
+ */
+std::vector<std::shared_ptr<const app::AppUtilityModel>>
+rawGridModels()
+{
+    const auto plan = faults::FaultPlan::parse("corrupt-grid", 2016);
+    EXPECT_TRUE(plan.ok());
+    const faults::FaultInjector injector(plan.value());
+    faults::InjectionStats stats;
+    std::vector<std::shared_ptr<const app::AppUtilityModel>> models;
+    std::uint64_t player = 0;
+    for (const auto &model : catalogModels()) {
+        auto damaged = injector.perturbModel(model, 7, player++, stats);
+        if (damaged != model)
+            models.push_back(std::move(damaged));
+    }
+    EXPECT_GT(stats.total(), 0);
+    app::RawUtilityGrid malformed;
+    malformed.cacheKnots = {2.0, 1.0};
+    malformed.powerKnots = {1.0, 2.0};
+    malformed.grid = {0.5};
+    auto flat = std::make_shared<app::AppUtilityModel>(std::move(malformed));
+    EXPECT_FALSE(flat->gridStatus().ok());
+    models.push_back(std::move(flat));
+    return models;
+}
+
 TEST(BilinearSurface, MatchesUpperBoundPortOnCatalogSurfaces)
 {
     util::Rng rng(1803);
-    for (const auto &model : catalogModels()) {
+    auto models = catalogModels();
+    const auto raw = rawGridModels();
+    ASSERT_GT(raw.size(), 1u);
+    models.insert(models.end(), raw.begin(), raw.end());
+    for (const auto &model : models) {
         const BilinearSurface &s = *model->bilinearSurface();
-        for (double a0 : probeExtras(s.knots0(), s.min0(), rng))
-            for (double a1 : probeExtras(s.knots1(), s.min1(), rng))
+        for (double a0 : probeExtras(s.knots0(), s.min0(), rng)) {
+            for (double a1 : probeExtras(s.knots1(), s.min1(), rng)) {
                 expectSurfaceMatchesPort(s, a0, a1, model->name());
+                expectModelIsItsSurface(*model, s, a0, a1, model->name());
+            }
+        }
         // The model's own entry points read the same surface.
         const double alloc[2] = {2.5, 3.25};
         double want[2], got[2];

@@ -255,9 +255,10 @@ TEST(DurabilityCorpus, DamagedFrameStreamsNeverCrashTheReader)
                     ++frames;
                     const auto decoded =
                         decodeRequest(payload.data(), payload.size());
-                    if (!decoded.ok())
+                    if (!decoded.ok()) {
                         EXPECT_FALSE(
                             decoded.status().message().empty());
+                    }
                 }
             }
             // Misframing can resynchronize on garbage and chop the

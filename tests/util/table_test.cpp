@@ -66,6 +66,12 @@ TEST(FormatDouble, Precision)
     EXPECT_EQ(formatDouble(1.0, 0), "1");
 }
 
+TEST(FormatInterval, FixedDecimalsInBrackets)
+{
+    EXPECT_EQ(formatInterval(0.9512, 1.0, 3), "[0.951, 1.000]");
+    EXPECT_EQ(formatInterval(-2.5, 7.76, 1), "[-2.5, 7.8]");
+}
+
 TEST(PrintBanner, ContainsTitle)
 {
     std::ostringstream os;
