@@ -43,16 +43,11 @@
  * through) -- the benchmark aborts otherwise -- and the per-sweep cost
  * (nanoseconds per bidding-pricing sweep) is reported per market size.
  *
- * Part D is the scaling sweep (ISSUE 7): the same synthetic budget walk
- * at 1k/10k/100k players, measured in three solver modes per size --
- * "hill_climb_scalar" (SIMD kernels disabled: the pre-PR reference
- * path, whose solve/sweep/update-step counters must reproduce the
- * committed BENCH_scaling_prepr.json capture exactly), "hill_climb"
- * (SIMD on, bit-identical numerics by the util::simd lane-per-column
- * contract, so the counters must not move), and "best_response"
- * (MarketConfig::bestResponse: closed-form price-anticipating replies,
- * one gradient call per player per sweep).  Every mode inherits Part
- * C's zero-allocation contract and aborts on violation.
+ * Part D is the scaling sweep: the same synthetic budget walk at
+ * 1k/10k/100k players through the hill-climb solver (rows tagged mode
+ * "hill_climb"), whose solve/sweep/update-step counters must match the
+ * committed BENCH_market.json exactly.  It inherits Part C's
+ * zero-allocation contract and aborts on violation.
  *
  * Output: a human-readable summary on stdout and a JSON artifact
  * (default BENCH_market.json; see EXPERIMENTS.md).
@@ -85,7 +80,6 @@
 #include "rebudget/market/utility_model.h"
 #include "rebudget/util/logging.h"
 #include "rebudget/util/rng.h"
-#include "rebudget/util/simd.h"
 #include "rebudget/util/table.h"
 #include "rebudget/workloads/bundles.h"
 
@@ -384,18 +378,19 @@ runSteadyState(size_t players, int reps)
 }
 
 // ---------------------------------------------------------------------
-// Part D: synthetic scaling sweep at 1k-100k players, per solver mode.
+// Part D: synthetic scaling sweep at 1k-100k players.
 // ---------------------------------------------------------------------
+
+/** The solver Part D measures; the JSON rows carry it as "mode". */
+constexpr const char *kScalingMode = "hill_climb";
 
 struct ScalingResult
 {
     size_t players = 0;
-    /** "hill_climb_scalar" | "hill_climb" | "best_response". */
-    std::string mode;
     int countedSolves = 0;
     std::int64_t countedAllocs = 0;
     long sweeps = 0;
-    /** Hill-climb steps, or best-response moved-player count. */
+    /** Hill-climb steps summed over the counted solves. */
     std::int64_t updateSteps = 0;
     double nsPerSweep = 0.0;
     double usPerSolve = 0.0;
@@ -403,24 +398,15 @@ struct ScalingResult
 
 /**
  * One scaling measurement: the Part C loop (sizing pass, then counted
- * warm reps over the 12-round budget walk) at `players` scale in the
- * given solver mode.  The scalar mode's counters reproduce the pre-PR
- * kernel exactly (see BENCH_scaling_prepr.json); the SIMD mode must
- * match them bit-for-bit; best_response has its own deterministic
- * counters.  All modes abort on any steady-state heap allocation.
+ * warm reps over the 12-round budget walk) at `players` scale.  Aborts
+ * on any steady-state heap allocation.
  */
 ScalingResult
-runScaling(size_t players, int reps, const std::string &mode)
+runScaling(size_t players, int reps)
 {
-    const bool simd_on = mode != "hill_climb_scalar";
-    const bool best_response = mode == "best_response";
-    const bool simd_before = util::simd::enabled();
-    util::simd::setEnabled(simd_on);
-
     const SyntheticProblem p = makeSynthetic(players, 42);
     market::MarketConfig cfg;
     cfg.warmStart = true;
-    cfg.bestResponse = best_response;
     const market::ProportionalMarket mkt(p.models, p.capacities, cfg);
     const auto walk = budgetWalk(players, 12);
 
@@ -437,7 +423,6 @@ runScaling(size_t players, int reps, const std::string &mode)
 
     ScalingResult out;
     out.players = players;
-    out.mode = mode;
     const std::int64_t a0 =
         g_heap_allocs.load(std::memory_order_relaxed);
     const double t0 = nowMs();
@@ -460,18 +445,16 @@ runScaling(size_t players, int reps, const std::string &mode)
     out.usPerSolve = out.countedSolves > 0
                          ? elapsed_ms * 1e3 / out.countedSolves
                          : 0.0;
-    util::simd::setEnabled(simd_before);
     if (out.countedAllocs != 0) {
         util::fatal("scaling contract violated: %lld heap allocations "
-                    "across %d warm solves at %zu players (mode %s, "
-                    "expected 0)",
+                    "across %d warm solves at %zu players (expected 0)",
                     static_cast<long long>(out.countedAllocs),
-                    out.countedSolves, players, mode.c_str());
+                    out.countedSolves, players);
     }
     return out;
 }
 
-/** Part D over the full size/mode grid; smoke runs 1k players only. */
+/** Part D over the full size grid; smoke runs 1k players only. */
 std::vector<ScalingResult>
 runScalingSweep(bool smoke, util::TablePrinter &table)
 {
@@ -483,21 +466,17 @@ runScalingSweep(bool smoke, util::TablePrinter &table)
         smoke ? std::vector<std::pair<size_t, int>>{{1000, 40}}
               : std::vector<std::pair<size_t, int>>{
                     {1000, 40}, {10000, 10}, {100000, 4}};
-    const char *modes[] = {"hill_climb_scalar", "hill_climb",
-                           "best_response"};
     std::vector<ScalingResult> rows;
     for (const auto &[players, reps] : plan) {
-        for (const char *mode : modes) {
-            const ScalingResult s = runScaling(players, reps, mode);
-            table.addRow({std::to_string(s.players), s.mode,
-                          std::to_string(s.countedSolves),
-                          std::to_string(s.countedAllocs),
-                          std::to_string(s.sweeps),
-                          std::to_string(s.updateSteps),
-                          util::formatDouble(s.nsPerSweep, 1),
-                          util::formatDouble(s.usPerSolve, 2)});
-            rows.push_back(s);
-        }
+        const ScalingResult s = runScaling(players, reps);
+        table.addRow({std::to_string(s.players), kScalingMode,
+                      std::to_string(s.countedSolves),
+                      std::to_string(s.countedAllocs),
+                      std::to_string(s.sweeps),
+                      std::to_string(s.updateSteps),
+                      util::formatDouble(s.nsPerSweep, 1),
+                      util::formatDouble(s.usPerSolve, 2)});
+        rows.push_back(s);
     }
     return rows;
 }
@@ -510,7 +489,7 @@ appendScalingJson(std::ostringstream &js,
     for (size_t k = 0; k < rows.size(); ++k) {
         const auto &s = rows[k];
         js << "    {\"players\": " << s.players << ", \"mode\": \""
-           << s.mode << "\", \"solves\": " << s.countedSolves
+           << kScalingMode << "\", \"solves\": " << s.countedSolves
            << ", \"counted_allocs\": " << s.countedAllocs
            << ", \"sweeps\": " << s.sweeps
            << ", \"update_steps\": " << s.updateSteps
@@ -858,8 +837,7 @@ main(int argc, char **argv)
     tc.print(std::cout);
 
     util::printBanner(std::cout,
-                      "Part D: scaling sweep (1k-100k players, "
-                      "per solver mode)");
+                      "Part D: scaling sweep (1k-100k players)");
     util::TablePrinter td({"players", "mode", "solves", "heap allocs",
                            "sweeps", "update steps", "ns/sweep",
                            "us/solve"});

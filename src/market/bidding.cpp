@@ -200,181 +200,4 @@ optimizeBidsInto(const UtilityModel &model, double budget,
         *std::max_element(result.lambdas.begin(), result.lambdas.end());
 }
 
-void
-bestResponseBidsInto(const UtilityModel &model, double budget,
-                     std::span<const double> others,
-                     std::span<const double> capacities, double damping,
-                     const double *current, BidResult &result,
-                     BidScratch &scratch)
-{
-    const size_t m = model.numResources();
-    result.status = util::SolveStatus();
-    result.lambda = 0.0;
-    result.steps = 0;
-    if (others.size() != m || capacities.size() != m) {
-        result.status = util::SolveStatus::error(
-            util::StatusCode::InvalidArgument,
-            "bestResponseBids: arity mismatch (model %zu, others %zu, "
-            "capacities %zu)", m, others.size(), capacities.size());
-        result.bids.assign(m, 0.0);
-        result.lambdas.assign(m, 0.0);
-        return;
-    }
-    if (budget < 0.0) {
-        // Same FP-noise tolerance as the hill climber.
-        if (budget > -1e-9 * std::max(1.0, std::abs(budget))) {
-            budget = 0.0;
-        } else {
-            result.status = util::SolveStatus::error(
-                util::StatusCode::InvalidArgument,
-                "bestResponseBids: negative budget %g", budget);
-            result.bids.assign(m, 0.0);
-            result.lambdas.assign(m, 0.0);
-            return;
-        }
-    }
-    if (current != nullptr)
-        result.bids.assign(current, current + m);
-    else
-        result.bids.assign(m, budget / static_cast<double>(m));
-    result.lambdas.resize(m);
-
-    // m == 2 fast path: delegate to the inline pair reply shared with
-    // the market's sweep loop (see bestResponsePair in bidding.h), so
-    // both entry points publish identical bids.
-    if (m == 2 && budget > 0.0) {
-        const BestResponsePairReply r = bestResponsePair(
-            model, budget, result.bids[0], result.bids[1], others[0],
-            others[1], capacities[0], capacities[1], damping);
-        result.bids[0] = r.b0;
-        result.bids[1] = r.b1;
-        result.lambdas[0] = r.l0;
-        result.lambdas[1] = r.l1;
-        result.lambda = r.lambda;
-        result.steps = r.steps;
-        return;
-    }
-
-    scratch.alloc.resize(m);
-    scratch.grad.resize(m);
-    scratch.compete.resize(m);
-    scratch.weight.resize(m);
-    scratch.order.resize(m);
-
-    // Operating point: predicted allocation under the current bids, one
-    // gradient call.  This is the only model evaluation on this path.
-    for (size_t j = 0; j < m; ++j) {
-        scratch.alloc[j] = predictedAllocation(result.bids[j], others[j],
-                                               capacities[j]);
-        scratch.compete[j] = std::max(others[j], kMinCompetingBid);
-    }
-    model.gradientFast(scratch.alloc, scratch.grad);
-
-    // Reported lambdas: operating-point gradient times the price
-    // response at whatever bids this function publishes (set at exit).
-    auto publish_lambdas = [&]() {
-        double lambda = 0.0;
-        for (size_t j = 0; j < m; ++j) {
-            const double l =
-                scratch.grad[j] * priceResponse(result.bids[j],
-                                                others[j],
-                                                capacities[j]);
-            result.lambdas[j] = l;
-            if (j == 0 || l > lambda)
-                lambda = l;
-        }
-        result.lambda = lambda;
-    };
-
-    if (budget <= 0.0) {
-        std::fill(result.bids.begin(), result.bids.end(), 0.0);
-        publish_lambdas();
-        return;
-    }
-    if (m == 1) {
-        if (result.bids[0] != budget) {
-            result.bids[0] = budget;
-            result.steps = 1;
-        }
-        publish_lambdas();
-        return;
-    }
-
-    // Linearized per-share weights w_j = g_j * C_j; sqrt(w_j y_j) is
-    // the water-filling kernel.  A fully saturated player (all w = 0)
-    // has no signal and keeps its current bids.
-    bool any_weight = false;
-    for (size_t j = 0; j < m; ++j) {
-        const double w =
-            std::max(scratch.grad[j], 0.0) * capacities[j];
-        scratch.weight[j] = std::sqrt(w * scratch.compete[j]);
-        any_weight = any_weight || scratch.weight[j] > 0.0;
-        scratch.order[j] = static_cast<uint32_t>(j);
-    }
-    if (!any_weight) {
-        publish_lambdas();
-        return;
-    }
-
-    // Deterministic insertion sort (m is small; no allocation, stable
-    // on ties unlike std::sort) by marginal-at-zero w_j / y_j
-    // descending, i.e. weight_j / y_j since weight = sqrt(w y) and
-    // w / y = (weight / y)^2.
-    for (size_t a = 1; a < m; ++a) {
-        const uint32_t key = scratch.order[a];
-        const double rk = scratch.weight[key] / scratch.compete[key];
-        size_t b = a;
-        while (b > 0) {
-            const uint32_t prev = scratch.order[b - 1];
-            if (scratch.weight[prev] / scratch.compete[prev] >= rk)
-                break;
-            scratch.order[b] = prev;
-            --b;
-        }
-        scratch.order[b] = key;
-    }
-
-    // Water-fill: grow the included set T in sorted order while the
-    // next resource's bid would still be positive.
-    double sum_y = 0.0;
-    double sum_sqrt = 0.0;
-    size_t included = 0;
-    for (size_t k = 0; k < m; ++k) {
-        const uint32_t j = scratch.order[k];
-        if (scratch.weight[j] <= 0.0)
-            break;
-        const double trial_y = sum_y + scratch.compete[j];
-        const double trial_s = sum_sqrt + scratch.weight[j];
-        // b_j > 0 iff weight_j * (B + sum_T y) / sum_T sqrt > y_j with
-        // j included in T.
-        if (scratch.weight[j] * (budget + trial_y) <=
-            scratch.compete[j] * trial_s)
-            break;
-        sum_y = trial_y;
-        sum_sqrt = trial_s;
-        ++included;
-    }
-    if (included == 0) {
-        publish_lambdas();
-        return;
-    }
-
-    const double scale = (budget + sum_y) / sum_sqrt;
-    bool moved = false;
-    for (size_t k = 0; k < m; ++k) {
-        const uint32_t j = scratch.order[k];
-        const double reply =
-            k < included
-                ? std::max(0.0, scratch.weight[j] * scale -
-                                    scratch.compete[j])
-                : 0.0;
-        const double prev = result.bids[j];
-        const double next = prev + damping * (reply - prev);
-        result.bids[j] = next;
-        moved = moved || next != prev;
-    }
-    result.steps = moved ? 1 : 0;
-    publish_lambdas();
-}
-
 } // namespace rebudget::market

@@ -25,8 +25,6 @@
  */
 
 #include <algorithm>
-#include <cmath>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -38,8 +36,9 @@ namespace rebudget::market {
 /**
  * Tiny competing-bid floor: avoids an infinite marginal when a resource
  * currently has no bids at all (the first epsilon of money would buy
- * the whole capacity).  Shared by the hill climber, the best-response
- * reply, and priceResponse().
+ * the whole capacity).  Applied only by priceResponse(), which the
+ * hill climbs, bidMarginal() and rescaleEquilibrium all take dr_j/db_j
+ * from, so every lambda they compute sees the same floor.
  */
 inline constexpr double kMinCompetingBid = 1e-9;
 
@@ -88,12 +87,6 @@ struct BidScratch
     std::vector<double> grad;
     /** Price response dr_j/db_j at the current bids. */
     std::vector<double> drdb;
-    /** Best-response path: sqrt(w_j * y_j) per resource. */
-    std::vector<double> weight;
-    /** Best-response path: floored competing bids y_j. */
-    std::vector<double> compete;
-    /** Best-response path: resource order by marginal-at-zero. */
-    std::vector<uint32_t> order;
 };
 
 /**
@@ -335,148 +328,6 @@ hillClimbPair(const UtilityModel &model, const BilinearSurface *surface,
             g1 = grad[1];
         },
         budget, initial, o0, o1, c0, c1, config);
-}
-
-/**
- * Price-anticipating closed-form best response (Feldman, Lai and
- * Zhang, "A price-anticipating resource allocation mechanism for
- * distributed shared clusters"; see PAPERS.md and DESIGN.md 3.2).
- *
- * The player's concave utility is linearized at its current operating
- * point: with g_j = dU/dr_j evaluated at the predicted allocation
- * under `current` bids, the local model is U ~ sum_j g_j C_j x_j with
- * x_j = b_j / (b_j + y_j) the proportional share.  Against fixed
- * competing bids y_j, the exact maximizer of the linearized utility
- * under sum_j b_j = B is a water-filling solution: include resources
- * in decreasing order of marginal-at-zero w_j / y_j (w_j = g_j C_j),
- * and for the included set T bid
- *
- *     b_j = sqrt(w_j y_j) * (B + sum_T y) / sum_T sqrt(w y)  -  y_j,
- *
- * which is positive exactly for the resources T admits.  One utility
- * gradient call and O(m log m) arithmetic replace the hill climb's
- * gradient call per shift, and because the reply lands on the
- * anticipated optimum instead of stepping toward it, the market's
- * sweep count stops thrashing at large n (each player's own bid is a
- * vanishing fraction of the column sums, so the linearization error
- * per sweep is O(1/n)).
- *
- * `damping` in (0, 1] blends the reply with the current bids
- * (b <- b + damping * (reply - b)); 1.0 takes the full reply.
- * `current` supplies the operating point (and the blend base); when
- * null the equal split is used.  Reported lambdas use the operating
- * point gradient with the price response at the NEW bids -- at a
- * fixed point of the sweep map the two coincide, which is where
- * consumers (ReBudget's cut ordering) read them.
- *
- * All degenerate inputs behave like optimizeBidsInto (arity/budget
- * validation, zero-budget and single-resource shortcuts); a fully
- * saturated player (all-zero gradient) keeps its current bids.
- * Zero-allocation and re-entrancy contracts match optimizeBidsInto.
- */
-void bestResponseBidsInto(const UtilityModel &model, double budget,
-                          std::span<const double> others,
-                          std::span<const double> capacities,
-                          double damping, const double *current,
-                          BidResult &result, BidScratch &scratch);
-
-/** Damped m == 2 best-response reply (see bestResponsePair). */
-struct BestResponsePairReply
-{
-    /** New bids after the damped blend. */
-    double b0 = 0.0, b1 = 0.0;
-    /** Per-resource lambdas at the published bids. */
-    double l0 = 0.0, l1 = 0.0;
-    /** The player's lambda_i: max over per-resource lambdas. */
-    double lambda = 0.0;
-    /** 1 when the blend moved either bid, else 0. */
-    int steps = 0;
-};
-
-/**
- * m == 2 core of bestResponseBidsInto (every CMP market: cache +
- * power), inlined so the market's sweep loop can bypass the
- * function-call and BidResult marshalling per player -- at 100k
- * players the per-call overhead is most of the reply's cost.  The
- * sorted water-fill degenerates to one cross-multiplied pair
- * comparison, so the whole reply runs straight-line on stack scalars.
- * It makes the same decisions as the generic path (same inclusion
- * logic, same clamps) but reassociates FP freely -- the paired
- * divides are folded into one reciprocal each, and the model is
- * queried through gradientFast() -- which is safe because every
- * m == 2 call deterministically takes this path, so there is no
- * scalar/fast divergence to observe.
- *
- * Precondition: budget > 0 (callers route zero/negative budgets
- * through bestResponseBidsInto's degenerate handling).
- */
-inline BestResponsePairReply
-bestResponsePair(const UtilityModel &model, double budget, double b0,
-                 double b1, double o0, double o1, double c0, double c1,
-                 double damping)
-{
-    const double y0 = o0 > kMinCompetingBid ? o0 : kMinCompetingBid;
-    const double y1 = o1 > kMinCompetingBid ? o1 : kMinCompetingBid;
-    double op[2];
-    const double t0 = b0 + o0, t1 = b1 + o1;
-    if (b0 > 0.0 && b1 > 0.0 && o0 > 0.0 && o1 > 0.0) {
-        // Common case: both shares well-defined; one divide serves
-        // both via the combined reciprocal.
-        const double inv = 1.0 / (t0 * t1);
-        op[0] = b0 * t1 * inv * c0;
-        op[1] = b1 * t0 * inv * c1;
-    } else {
-        op[0] = b0 <= 0.0 ? 0.0 : (o0 <= 0.0 ? c0 : b0 / t0 * c0);
-        op[1] = b1 <= 0.0 ? 0.0 : (o1 <= 0.0 ? c1 : b1 / t1 * c1);
-    }
-    double grad[2];
-    model.gradientFast(std::span<const double>(op, 2),
-                       std::span<double>(grad, 2));
-
-    BestResponsePairReply out;
-    out.b0 = b0;
-    out.b1 = b1;
-    const double s0 = std::sqrt(std::max(grad[0], 0.0) * c0 * y0);
-    const double s1 = std::sqrt(std::max(grad[1], 0.0) * c1 * y1);
-    if (s0 > 0.0 || s1 > 0.0) {
-        // Order by s_j / y_j descending; ties keep resource 0 first
-        // like the stable generic sort.
-        const bool hi0 = s0 * y1 >= s1 * y0;
-        const double sh = hi0 ? s0 : s1, yh = hi0 ? y0 : y1;
-        const double sl = hi0 ? s1 : s0, yl = hi0 ? y1 : y0;
-        // The top resource is always included (its bid is positive
-        // whenever it has any weight); the second joins if its bid
-        // stays positive under the shared scale.
-        double rh, rl;
-        if (sl > 0.0 && sl * (budget + (yh + yl)) > yl * (sh + sl)) {
-            const double scale = (budget + (yh + yl)) / (sh + sl);
-            rh = std::max(0.0, sh * scale - yh);
-            rl = std::max(0.0, sl * scale - yl);
-        } else {
-            const double scale = (budget + yh) / sh;
-            rh = std::max(0.0, sh * scale - yh);
-            rl = 0.0;
-        }
-        const double r0 = hi0 ? rh : rl, r1 = hi0 ? rl : rh;
-        const double n0 = b0 + damping * (r0 - b0);
-        const double n1 = b1 + damping * (r1 - b1);
-        out.b0 = n0;
-        out.b1 = n1;
-        out.steps = (n0 != b0 || n1 != b1) ? 1 : 0;
-    }
-    // Lambdas at the published bids: grad * dr/db, matching the
-    // generic publish (priceResponse floors y and clamps b), with the
-    // two divides folded into one combined reciprocal (d0, d1 are
-    // strictly positive: y >= kMinCompetingBid).
-    const double pb0 = std::max(out.b0, 0.0);
-    const double pb1 = std::max(out.b1, 0.0);
-    const double d0 = (pb0 + y0) * (pb0 + y0);
-    const double d1 = (pb1 + y1) * (pb1 + y1);
-    const double inv_d = 1.0 / (d0 * d1);
-    out.l0 = grad[0] * (c0 * y0 * d1 * inv_d);
-    out.l1 = grad[1] * (c1 * y1 * d0 * inv_d);
-    out.lambda = std::max(out.l0, out.l1);
-    return out;
 }
 
 } // namespace rebudget::market

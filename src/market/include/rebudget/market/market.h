@@ -69,33 +69,6 @@ struct MarketConfig
      * and enabled by the solver test-suite and ad-hoc debugging only.
      */
     bool validatePriceSums = false;
-    /**
-     * Replace the hill-climb bid update with the closed-form
-     * price-anticipating best response (see bestResponseBidsInto in
-     * bidding.h): each player answers the sweep's current competing
-     * bids with the exact optimizer of its linearized utility instead
-     * of shift-halving toward it.  Off by default -- the default path
-     * must stay bit-identical to the reference hill-climb solver
-     * (tests/market/reference_solver_test, BENCH_market.json).  The
-     * two modes converge to the same equilibrium within the market's
-     * price-tolerance class (tests/market/best_response_test); the
-     * best response gets there with one gradient call per player per
-     * sweep, which is what makes the 10k-100k player regime tractable
-     * (bench/perf_equilibrium --scaling).
-     */
-    bool bestResponse = false;
-    /**
-     * Best-response step blend in (0, 1]: 1.0 takes the full reply.
-     * Lightly damped replies oscillate (period-2 price flips: players
-     * over-correct against stale prices, exactly the instability
-     * Feldman et al. describe for synchronous best-response dynamics;
-     * the block-Jacobi sweep makes 1/16 of the market reply
-     * simultaneously, see findEquilibriumInto).  The default quarter
-     * step converges on every roster probed from 8 to 100k players --
-     * including small heterogeneous rosters where 0.4+ never settles
-     * -- at one to two sweeps per warm solve.
-     */
-    double bestResponseDamping = 0.25;
     /** Player bid-optimizer tuning. */
     BidOptimizerConfig bid;
 };
@@ -173,9 +146,6 @@ struct SolveWorkspace
     std::vector<double> newPrices;
     /** y_j: competing bids seen by the player being optimized. */
     std::vector<double> others;
-    /** Next sweep's column sums, accumulated by the Jacobi
-     * best-response sweep (see findEquilibriumInto). */
-    std::vector<double> nextSums;
     /** Predicted allocation scratch (rescale path). */
     std::vector<double> pred;
     /** Utility gradient scratch (rescale path). */
@@ -201,10 +171,9 @@ class ProportionalMarket
      * mismatch, a capacity that is not finite and positive, or a
      * config field out of range: a non-positive maxIterations, a
      * priceTol, bid.lambdaTol or bid.minShiftFraction that is NaN,
-     * infinite or negative, a negative bid.maxSteps, or a
-     * bestResponseDamping outside (0, 1]) does not throw:
-     * it is recorded in setupStatus() and every subsequent solve
-     * returns that status without running.
+     * infinite or negative, or a negative bid.maxSteps) does not
+     * throw: it is recorded in setupStatus() and every subsequent
+     * solve returns that status without running.
      */
     ProportionalMarket(std::vector<const UtilityModel *> models,
                        std::vector<double> capacities,
@@ -335,18 +304,11 @@ class ProportionalMarket
     MarketConfig config_;
     util::SolveStatus status_;
     /**
-     * Per-player UtilityModel::hotQuads() pointers, cached at
-     * construction so the best-response sweep's eligibility test for
-     * the fused SIMD kernel (best_response_kernel.h) is one pointer
-     * load instead of a virtual call per player per sweep.  nullptr
-     * entries fall back to the virtual gradientFast() reply.
-     */
-    std::vector<const double *> hotQuads_;
-    /**
      * Per-player UtilityModel::bilinearSurface() pointers, cached at
-     * construction like hotQuads_: the two-resource hill climb and the
-     * rescale evaluate a non-null surface's gradient inline, and call
-     * the virtual gradient() for nullptr entries.
+     * construction so the two-resource hill climb and the rescale
+     * evaluate a non-null surface's gradient inline (one pointer load
+     * instead of a virtual call per player per sweep), and call the
+     * virtual gradient() for nullptr entries.
      */
     std::vector<const BilinearSurface *> surfaces_;
 };

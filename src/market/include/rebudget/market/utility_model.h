@@ -231,39 +231,6 @@ class UtilityModel
                           std::span<double> out) const;
 
     /**
-     * Gradient for approximation-tolerant hot paths (the
-     * price-anticipating best-response reply, which re-linearizes
-     * every sweep and tolerates a few ulps of slack in the slope).
-     *
-     * Contract: agrees with gradient() to ~1e-12 relative, but is NOT
-     * required to match it bit for bit -- overrides may reorder FP
-     * operations (reciprocal-multiply instead of divide) for speed.
-     * Results must still be deterministic: the same (model, alloc)
-     * always yields the same bytes, so eval stays byte-identical at
-     * any job count.  The exact-agreement hill-climb path must keep
-     * calling gradient(); its counters are pinned by the committed
-     * benchmarks.  The default forwards to gradient().
-     */
-    virtual void gradientFast(std::span<const double> alloc,
-                              std::span<double> out) const
-    {
-        gradient(alloc, out);
-    }
-
-    /**
-     * Optional power-law hot-coefficient block enabling the market's
-     * fused SIMD best-response kernel (best_response_kernel.h):
-     * 4 doubles per resource, [c_j, w_j * e_j, e_j - 1, 1/c_j], such
-     * that dU/dr_j = (w_j * e_j) * pow(max(1e-12, r_j / c_j), e_j - 1)
-     * / c_j -- i.e. the model's gradientFast() is exactly this closed
-     * form.  Models whose gradient does not have the form return
-     * nullptr (the default) and the market falls back to the virtual
-     * gradientFast() reply.  The pointer must stay valid and the
-     * coefficients immutable for the model's lifetime.
-     */
-    virtual const double *hotQuads() const { return nullptr; }
-
-    /**
      * Optional bilinear surface this two-resource model is exactly:
      * for every allocation (a0, a1), utility(), marginal(k) and
      * gradient() return, bit for bit, the surface's utility(a0, a1),
@@ -318,9 +285,6 @@ class PowerLawUtility : public UtilityModel
                     std::span<const double> alloc) const override;
     void gradient(std::span<const double> alloc,
                   std::span<double> out) const override;
-    void gradientFast(std::span<const double> alloc,
-                      std::span<double> out) const override;
-    const double *hotQuads() const override { return hot_.data(); }
     std::string name() const override { return "power-law"; }
 
   private:
@@ -328,17 +292,13 @@ class PowerLawUtility : public UtilityModel
     std::vector<double> exponents_;
     std::vector<double> capacities_;
     /**
-     * Hot-path precomputation for gradient()/gradientFast():
-     * interleaved per-resource quads [c_j, w_j * e_j, e_j - 1.0,
-     * 1/c_j], folded once at construction so the per-call loop is one
-     * contiguous pass (32 bytes per resource -- the sweep loop walks
-     * thousands of scattered models, so locality matters).  gradient()
-     * computes coeff * pow(x, em1) / c with x = alloc/c -- the
-     * identical association order the inline expression had, hence
-     * bit-identical results.  gradientFast() substitutes the
-     * precomputed reciprocal (two multiplies instead of two divides
-     * per resource), trading a few ulps for half the divider-port
-     * pressure.
+     * Hot-path precomputation for gradient(): interleaved per-resource
+     * triplets [c_j, w_j * e_j, e_j - 1.0], folded once at construction
+     * so the per-call loop is one contiguous pass (24 bytes per
+     * resource -- the sweep loop walks thousands of scattered models,
+     * so locality matters).  gradient() computes coeff * pow(x, em1) / c
+     * with x = alloc/c -- the identical association order marginal()
+     * uses, hence bit-identical results.
      */
     std::vector<double> hot_;
     util::SolveStatus status_;

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "rebudget/market/best_response_kernel.h"
-
 #include "rebudget/util/logging.h"
-#include "rebudget/util/simd.h"
 #include "rebudget/util/solver_stats.h"
 
 namespace rebudget::market {
@@ -79,13 +76,6 @@ validateSetup(const std::vector<const UtilityModel *> &models,
         return SolveStatus::error(StatusCode::InvalidArgument,
                                   "market bid.maxSteps must be >= 0");
     }
-    if (!(config.bestResponseDamping > 0.0 &&
-          config.bestResponseDamping <= 1.0)) {
-        return SolveStatus::error(
-            StatusCode::InvalidArgument,
-            "market bestResponseDamping must be in (0, 1] (got %g)",
-            config.bestResponseDamping);
-    }
     return SolveStatus();
 }
 
@@ -124,17 +114,23 @@ sanitizeBudgets(std::vector<double> &budgets)
  * player order -- the solver's canonical summation order.  The
  * incremental engine reproduces these sums up to FP drift; prices
  * published in results always come from this full recompute so they are
- * independent of the solve's shift history.  Dispatched through the
- * SIMD shim, whose tiers preserve the canonical order exactly (see
- * util/simd.h), so the vectorized path stays bit-identical to the
- * scalar one.
+ * independent of the solve's shift history.  One column at a time into
+ * a local: a running sum in out[j] would round-trip through memory on
+ * every row.
  */
 void
 computeColumnSumsInto(const Matrix<double> &bids, std::vector<double> &out)
 {
-    out.resize(bids.cols());
-    util::simd::columnSums(bids.data(), bids.rows(), bids.cols(),
-                           out.data());
+    const size_t n = bids.rows();
+    const size_t m = bids.cols();
+    out.resize(m);
+    const double *data = bids.data();
+    for (size_t j = 0; j < m; ++j) {
+        double sum = 0.0;
+        for (size_t i = 0; i < n; ++i)
+            sum += data[i * m + j];
+        out[j] = sum;
+    }
 }
 
 /** computePrices into a reusable buffer (no per-iteration allocation). */
@@ -148,17 +144,20 @@ computePricesInto(const Matrix<double> &bids,
         out[j] /= capacities[j];
 }
 
-/** proportionalAllocation against known prices, into a reused matrix.
- * Elementwise, so the SIMD tiers are exact (see util/simd.h). */
+/** proportionalAllocation against known prices, into a reused matrix. */
 void
 allocationFromPricesInto(const Matrix<double> &bids,
                          const std::vector<double> &prices,
                          Matrix<double> &alloc)
 {
-    alloc.resize(bids.rows(), bids.cols());
-    util::simd::allocationFromPrices(bids.data(), bids.rows(),
-                                     bids.cols(), prices.data(),
-                                     alloc.data());
+    const size_t m = bids.cols();
+    alloc.resize(bids.rows(), m);
+    const double *b = bids.data();
+    double *a = alloc.data();
+    for (size_t i = 0; i < bids.rows(); ++i, b += m, a += m) {
+        for (size_t j = 0; j < m; ++j)
+            a[j] = prices[j] > 0.0 ? b[j] / prices[j] : 0.0;
+    }
 }
 
 /**
@@ -208,12 +207,9 @@ ProportionalMarket::ProportionalMarket(
       config_(config), status_(validateSetup(models_, capacities_, config_))
 {
     if (status_.ok()) {
-        hotQuads_.reserve(models_.size());
         surfaces_.reserve(models_.size());
-        for (const UtilityModel *model : models_) {
-            hotQuads_.push_back(model->hotQuads());
+        for (const UtilityModel *model : models_)
             surfaces_.push_back(model->bilinearSurface());
-        }
     }
 }
 
@@ -310,167 +306,9 @@ ProportionalMarket::findEquilibriumInto(const std::vector<double> &budgets,
 
     ws.others.resize(m);
     ws.newPrices.resize(m);
-    ws.nextSums.resize(m);
     for (int iter = 0; iter < config_.maxIterations; ++iter) {
         ++result.iterations;
-        if (config_.bestResponse) {
-            // Block-Jacobi sweep: the players are processed in 16
-            // sequential blocks; within a block every player replies
-            // to the SAME block-start column sums, and the sums
-            // advance once per block.  Freezing the sums inside a
-            // block breaks the Gauss-Seidel dependency chain that
-            // threads one player's published bid into the next
-            // player's competing bids -- each reply (a divide, a
-            // gradient, two sqrts, another divide: >= 100 cycles of
-            // pure latency) becomes independent of its in-block
-            // neighbors, so the out-of-order window overlaps several
-            // players instead of serializing the whole sweep.  The 16
-            // sequential block updates keep the damped dynamics
-            // stable at every size (fully simultaneous replies --
-            // one block -- oscillate even at damping 0.15 for some
-            // rosters; 16 blocks converges like plain Gauss-Seidel
-            // from 8 to 100k players while recovering the in-block
-            // parallelism the --scaling acceptance numbers in
-            // BENCH_market.json rest on).
-            const size_t kBlocks = 16;
-            const size_t block = (n + kBlocks - 1) / kBlocks;
-            const double damping = config_.bestResponseDamping;
-            if (m == 2) {
-                // Two-resource specialization (every CMP market):
-                // the inline pair reply skips the function call and
-                // BidResult marshalling per player, and the frozen
-                // block-start sums live in registers.
-                const double c0 = capacities_[0], c1 = capacities_[1];
-                // The fused SIMD kernel replies for two players per
-                // call (one 4-lane pow instead of two 2-lane ones);
-                // it shares util/simd.h's runtime toggle so tests and
-                // the scaling bench can drive the scalar reply from
-                // the same binary.
-                const bool duo = bestResponseDuoAvailable() &&
-                                 util::simd::enabled();
-                const auto scalarReply = [&](size_t i, double o0,
-                                             double o1, double &a0,
-                                             double &a1) {
-                    double *bids_i = result.bids.row(i);
-                    if (b[i] > 0.0) [[likely]] {
-                        const BestResponsePairReply r =
-                            bestResponsePair(*models_[i], b[i],
-                                             bids_i[0], bids_i[1], o0,
-                                             o1, c0, c1, damping);
-                        a0 += r.b0 - bids_i[0];
-                        a1 += r.b1 - bids_i[1];
-                        bids_i[0] = r.b0;
-                        bids_i[1] = r.b1;
-                        result.lambdas[i] = r.lambda;
-                        result.hillClimbSteps += r.steps;
-                    } else {
-                        // Degenerate budgets keep the general
-                        // entry's validation semantics.
-                        ws.others[0] = o0;
-                        ws.others[1] = o1;
-                        bestResponseBidsInto(*models_[i], b[i],
-                                             ws.others, capacities_,
-                                             damping, bids_i, ws.bid,
-                                             ws.scratch);
-                        a0 += ws.bid.bids[0] - bids_i[0];
-                        a1 += ws.bid.bids[1] - bids_i[1];
-                        bids_i[0] = ws.bid.bids[0];
-                        bids_i[1] = ws.bid.bids[1];
-                        result.lambdas[i] = ws.bid.lambda;
-                        result.hillClimbSteps += ws.bid.steps;
-                    }
-                };
-                for (size_t lo = 0; lo < n; lo += block) {
-                    const size_t hi = std::min(n, lo + block);
-                    const double cs0 = ws.colSums[0];
-                    const double cs1 = ws.colSums[1];
-                    double acc0 = 0.0, acc1 = 0.0;
-                    size_t i = lo;
-                    if (duo) {
-                        for (; i + 1 < hi; i += 2) {
-                            double *ba = result.bids.row(i);
-                            double *bb = result.bids.row(i + 1);
-                            const double oa0 =
-                                std::max(0.0, cs0 - ba[0]);
-                            const double oa1 =
-                                std::max(0.0, cs1 - ba[1]);
-                            const double ob0 =
-                                std::max(0.0, cs0 - bb[0]);
-                            const double ob1 =
-                                std::max(0.0, cs1 - bb[1]);
-                            const double *qa = hotQuads_[i];
-                            const double *qb = hotQuads_[i + 1];
-                            // The kernel covers the all-positive
-                            // steady state; anything degenerate (zero
-                            // budget, zeroed bid, lone bidder, model
-                            // without hot quads) takes the scalar
-                            // reply, which handles every case.
-                            if (qa != nullptr && qb != nullptr &&
-                                b[i] > 0.0 && b[i + 1] > 0.0 &&
-                                ba[0] > 0.0 && ba[1] > 0.0 &&
-                                bb[0] > 0.0 && bb[1] > 0.0 &&
-                                oa0 > 0.0 && oa1 > 0.0 &&
-                                ob0 > 0.0 && ob1 > 0.0) [[likely]] {
-                                int moved = 0;
-                                bestResponseDuo(
-                                    qa, qb, b[i], b[i + 1], ba, bb,
-                                    oa0, oa1, ob0, ob1, c0, c1,
-                                    damping, &result.lambdas[i],
-                                    &result.lambdas[i + 1], &moved,
-                                    &acc0, &acc1);
-                                result.hillClimbSteps += moved;
-                            } else {
-                                // The block's sums are frozen at
-                                // cs0/cs1, so player i's move cannot
-                                // change ob0/ob1.
-                                scalarReply(i, oa0, oa1, acc0, acc1);
-                                scalarReply(i + 1, ob0, ob1, acc0,
-                                            acc1);
-                            }
-                        }
-                    }
-                    for (; i < hi; ++i) {
-                        const double *bids_i = result.bids.row(i);
-                        const double o0 =
-                            std::max(0.0, cs0 - bids_i[0]);
-                        const double o1 =
-                            std::max(0.0, cs1 - bids_i[1]);
-                        scalarReply(i, o0, o1, acc0, acc1);
-                    }
-                    ws.colSums[0] = cs0 + acc0;
-                    ws.colSums[1] = cs1 + acc1;
-                }
-            } else {
-                for (size_t lo = 0; lo < n; lo += block) {
-                    const size_t hi = std::min(n, lo + block);
-                    for (size_t j = 0; j < m; ++j)
-                        ws.nextSums[j] = 0.0;
-                    for (size_t i = lo; i < hi; ++i) {
-                        double *bids_i = result.bids.row(i);
-                        for (size_t j = 0; j < m; ++j)
-                            ws.others[j] = std::max(
-                                0.0, ws.colSums[j] - bids_i[j]);
-                        // The best response always linearizes at the
-                        // current bids -- the seeded row is the
-                        // operating point whether the solve is warm
-                        // or cold.
-                        bestResponseBidsInto(*models_[i], b[i],
-                                             ws.others, capacities_,
-                                             damping, bids_i, ws.bid,
-                                             ws.scratch);
-                        for (size_t j = 0; j < m; ++j) {
-                            ws.nextSums[j] +=
-                                ws.bid.bids[j] - bids_i[j];
-                            bids_i[j] = ws.bid.bids[j];
-                        }
-                        result.lambdas[i] = ws.bid.lambda;
-                        result.hillClimbSteps += ws.bid.steps;
-                    }
-                    for (size_t j = 0; j < m; ++j)
-                        ws.colSums[j] += ws.nextSums[j];
-                }
-            }
-        } else if (m == 2) {
+        if (m == 2) {
             // Gauss-Seidel sweep (see the generic branch below), two
             // resources: the column sums live in locals and each
             // player's climb runs on stack scalars (hillClimbPair), with

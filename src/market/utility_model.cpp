@@ -4,18 +4,6 @@
 
 #include "rebudget/util/logging.h"
 
-#if defined(__SSE2__) && defined(__GLIBC__)
-#include <emmintrin.h>
-// glibc's vector math library (libmvec, linked via libm's AS_NEEDED
-// script).  Calling the SSE2 2-lane variant by its mangled name pins
-// ONE implementation -- no ISA dispatch -- so results are stable on a
-// given glibc regardless of host vector width.  Max error is 4 ulp by
-// glibc's contract (measured 1 ulp over the market's operating range),
-// well inside gradientFast()'s ~1e-12 agreement budget.
-extern "C" __m128d _ZGVbN2vv_pow(__m128d x, __m128d y);
-#define REBUDGET_HAVE_MVEC_POW 1
-#endif
-
 namespace rebudget::market {
 
 BilinearSurface::BilinearSurface(std::vector<double> knots0,
@@ -120,12 +108,11 @@ PowerLawUtility::PowerLawUtility(std::vector<double> weights,
         for (auto &w : weights_)
             w /= wsum;
     }
-    hot_.resize(4 * weights_.size());
+    hot_.resize(3 * weights_.size());
     for (size_t j = 0; j < weights_.size(); ++j) {
-        hot_[4 * j + 0] = capacities_[j];
-        hot_[4 * j + 1] = weights_[j] * exponents_[j];
-        hot_[4 * j + 2] = exponents_[j] - 1.0;
-        hot_[4 * j + 3] = 1.0 / capacities_[j];
+        hot_[3 * j + 0] = capacities_[j];
+        hot_[3 * j + 1] = weights_[j] * exponents_[j];
+        hot_[3 * j + 2] = exponents_[j] - 1.0;
     }
 }
 
@@ -170,48 +157,10 @@ PowerLawUtility::gradient(std::span<const double> alloc,
     // the two entry points agree exactly.
     const size_t m = weights_.size();
     const double *h = hot_.data();
-    for (size_t j = 0; j < m; ++j, h += 4) {
+    for (size_t j = 0; j < m; ++j, h += 3) {
         const double c = h[0];
         const double x = std::max(1e-12, alloc[j] / c);
         out[j] = h[1] * std::pow(x, h[2]) / c;
-    }
-}
-
-void
-PowerLawUtility::gradientFast(std::span<const double> alloc,
-                              std::span<double> out) const
-{
-    REBUDGET_ASSERT(alloc.size() == weights_.size(),
-                    "allocation arity mismatch");
-    REBUDGET_ASSERT(out.size() == weights_.size(),
-                    "gradient output arity mismatch");
-    // Same expression as gradient() with the two per-resource divides
-    // replaced by the precomputed reciprocal: a few ulps apart, half
-    // the divider-port pressure.  Only the best-response reply calls
-    // this, so the hill climber's pinned bit-identity is untouched.
-    const size_t m = weights_.size();
-    const double *h = hot_.data();
-#if REBUDGET_HAVE_MVEC_POW
-    if (m == 2) {
-        // Both pow evaluations ride one 2-lane libmvec call: ~23ns for
-        // the pair against ~32ns for two scalar std::pow on the
-        // machines this was tuned on -- the reply's single biggest
-        // cost at 10k-100k players.
-        const double inv0 = h[3], inv1 = h[7];
-        const double x0 = std::max(1e-12, alloc[0] * inv0);
-        const double x1 = std::max(1e-12, alloc[1] * inv1);
-        double pr[2];
-        _mm_storeu_pd(pr, _ZGVbN2vv_pow(_mm_setr_pd(x0, x1),
-                                        _mm_setr_pd(h[2], h[6])));
-        out[0] = h[1] * pr[0] * inv0;
-        out[1] = h[5] * pr[1] * inv1;
-        return;
-    }
-#endif
-    for (size_t j = 0; j < m; ++j, h += 4) {
-        const double inv_c = h[3];
-        const double x = std::max(1e-12, alloc[j] * inv_c);
-        out[j] = h[1] * std::pow(x, h[2]) * inv_c;
     }
 }
 

@@ -23,13 +23,11 @@
  * rest of the codebase grew up with.
  *
  * Alignment contract: the backing buffer is 64-byte aligned (one full
- * cache line, and wide enough for any current vector ISA), so the
- * explicit SIMD kernels in util/simd.h can stream the flat buffer
- * without a misaligned head.  Row pointers beyond row 0 are aligned
- * only when cols()*sizeof(T) is a multiple of the alignment; the
- * kernels therefore use unaligned loads (free on aligned addresses)
- * and the contract buys cache-line-clean buffer starts, not per-row
- * alignment.
+ * cache line, and wide enough for any current vector ISA), so a loop
+ * streaming the flat buffer starts on a cache-line boundary.  Row
+ * pointers beyond row 0 are aligned only when cols()*sizeof(T) is a
+ * multiple of the alignment: the contract buys cache-line-clean buffer
+ * starts, not per-row alignment.
  */
 
 #include <cstddef>

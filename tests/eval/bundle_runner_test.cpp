@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -305,4 +306,26 @@ TEST(BundleRunner, TryValidateProblemDiagnoses)
             << cap;
         EXPECT_TRUE(out.alloc.empty()) << cap;
     }
+}
+
+TEST(BundleRunner, SyntheticRosterDeterministicAndModelCacheShared)
+{
+    const auto a = eval::syntheticAppNames(1000, 7);
+    const auto b = eval::syntheticAppNames(1000, 7);
+    const auto c = eval::syntheticAppNames(1000, 8);
+    EXPECT_EQ(a, b);
+    EXPECT_NE(a, c);
+
+    // The memoized per-(app, convexify) cache: a 1000-player problem
+    // must hold at most one model instance per catalog app.
+    const eval::BundleProblem bp = eval::makeSyntheticBundleProblem(1000, 7);
+    ASSERT_EQ(bp.problem.models.size(), 1000u);
+    std::set<const market::UtilityModel *> distinct(
+        bp.problem.models.begin(), bp.problem.models.end());
+    EXPECT_LE(distinct.size(), 24u);
+
+    const eval::BundleProblem again =
+        eval::makeSyntheticBundleProblem(1000, 7);
+    for (size_t i = 0; i < 1000; ++i)
+        EXPECT_EQ(bp.problem.models[i], again.problem.models[i]) << i;
 }

@@ -209,8 +209,7 @@ TEST(Market, RejectsBadConstruction)
 
 TEST(Market, RejectsOutOfRangeConfig)
 {
-    // A NaN priceTol used to report convergence after one sweep, and a
-    // NaN bestResponseDamping returned NaN prices with an Ok status.
+    // A NaN priceTol used to report convergence after one sweep.
     const auto models = symmetricPlayers(2);
     const double nan = std::nan("");
     std::vector<std::pair<std::string, MarketConfig>> bad;
@@ -225,11 +224,6 @@ TEST(Market, RejectsOutOfRangeConfig)
         cfg = MarketConfig{};
         cfg.bid.minShiftFraction = v;
         bad.emplace_back("bid.minShiftFraction" + at, cfg);
-    }
-    for (double v : {nan, 0.0, -0.25, 1.5, HUGE_VAL}) {
-        MarketConfig cfg;
-        cfg.bestResponseDamping = v;
-        bad.emplace_back("bestResponseDamping = " + std::to_string(v), cfg);
     }
     MarketConfig steps;
     steps.bid.maxSteps = -1;
@@ -249,15 +243,14 @@ TEST(Market, RejectsOutOfRangeConfig)
 
 TEST(Market, AcceptsConfigRangeEnds)
 {
-    // Zero tolerances (an exact fixed point), a zero step budget and
-    // an undamped best response are legal.
+    // Zero tolerances (an exact fixed point) and a zero step budget are
+    // legal.
     const auto models = symmetricPlayers(2);
     MarketConfig cfg;
     cfg.priceTol = 0.0;
     cfg.bid.lambdaTol = 0.0;
     cfg.bid.minShiftFraction = 0.0;
     cfg.bid.maxSteps = 0;
-    cfg.bestResponseDamping = 1.0;
     const ProportionalMarket mkt(ptrs(models), {10.0, 10.0}, cfg);
     EXPECT_TRUE(mkt.setupStatus().ok());
     EXPECT_TRUE(mkt.findEquilibrium({100.0, 100.0}).status.ok());

@@ -7,10 +7,15 @@ be deterministic at the exact --time-band boundary and must never turn
 a zero-valued counter into a silent pass.
 """
 
+import contextlib
 import importlib.util
+import io
+import json
 import os
 import sys
+import tempfile
 import unittest
+from unittest import mock
 
 _TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       os.pardir, os.pardir, "tools")
@@ -100,65 +105,34 @@ class ExactCounterTest(unittest.TestCase):
         self.assertIn("solves", cmp.errors[0])
 
 
-class SpeedupTest(unittest.TestCase):
+class PrechangeTest(unittest.TestCase):
     @staticmethod
-    def fresh_row(players, ns):
-        return {"scaling": [{"players": players, "mode": "best_response",
-                             "ns_per_sweep": ns}]}
+    def run_main(*argv):
+        out = io.StringIO()
+        with mock.patch.object(sys, "argv", ["bench_compare.py", *argv]), \
+                contextlib.redirect_stdout(out):
+            status = bench_compare.main()
+        return status, out.getvalue()
 
-    @staticmethod
-    def pre_row(players, ns):
-        return {"scaling": [{"players": players,
-                             "mode": "hill_climb_scalar",
-                             "ns_per_sweep": ns}]}
-
-    def test_zero_baseline_is_named_failure(self):
-        # The historical bug: `if not pre_ns` silently skipped a
-        # zero-valued baseline, so --min-speedup could "pass" against
-        # a broken capture.
-        cmp = bench_compare.Comparison(10.0)
-        bench_compare.check_speedup(cmp, self.fresh_row(1000, 500.0),
-                                    self.pre_row(1000, 0), 2.0)
-        self.assertTrue(any("non-positive" in e for e in cmp.errors),
-                        f"expected a named failure, got {cmp.errors}")
-
-    def test_zero_fresh_is_named_failure(self):
-        cmp = bench_compare.Comparison(10.0)
-        bench_compare.check_speedup(cmp, self.fresh_row(1000, 0),
-                                    self.pre_row(1000, 500.0), 2.0)
-        self.assertTrue(any("non-positive" in e for e in cmp.errors))
-
-    def test_missing_counter_is_named_failure(self):
-        cmp = bench_compare.Comparison(10.0)
-        fresh = {"scaling": [{"players": 1000, "mode": "best_response"}]}
-        bench_compare.check_speedup(cmp, fresh, self.pre_row(1000, 500.0),
-                                    2.0)
-        self.assertTrue(any("no ns_per_sweep" in e for e in cmp.errors))
-
-    def test_speedup_below_min_fails(self):
-        cmp = bench_compare.Comparison(10.0)
-        bench_compare.check_speedup(cmp, self.fresh_row(1000, 400.0),
-                                    self.pre_row(1000, 600.0), 2.0)
-        self.assertTrue(any("below required" in e for e in cmp.errors))
-
-    def test_speedup_at_min_passes(self):
-        cmp = bench_compare.Comparison(10.0)
-        bench_compare.check_speedup(cmp, self.fresh_row(1000, 300.0),
-                                    self.pre_row(1000, 600.0), 2.0)
-        self.assertEqual(cmp.errors, [])
-
-    def test_small_player_counts_are_informational(self):
-        cmp = bench_compare.Comparison(10.0)
-        bench_compare.check_speedup(cmp, self.fresh_row(8, 600.0),
-                                    self.pre_row(8, 300.0), 2.0)
-        self.assertEqual(cmp.errors, [])
-        self.assertTrue(any("speedup" in n for n in cmp.notes))
-
-    def test_no_overlap_is_an_error(self):
-        cmp = bench_compare.Comparison(10.0)
-        bench_compare.check_speedup(cmp, self.fresh_row(1000, 500.0),
-                                    self.pre_row(2000, 500.0), None)
-        self.assertTrue(any("no overlapping" in e for e in cmp.errors))
+    def test_prechange_with_perf_equilibrium_file_is_named_failure(self):
+        # Only serve captures have a pre-change counterpart, so
+        # --prechange with a perf_equilibrium file is an error, not a
+        # silent no-op.
+        row = {"players": 1000, "mode": "hill_climb", "solves": 480,
+               "counted_allocs": 0, "sweeps": 480,
+               "update_steps": 460729, "ns_per_sweep": 2.0e5,
+               "us_per_solve": 200.0}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fresh.json")
+            with open(path, "w") as f:
+                json.dump({"scaling": [row]}, f)
+            status, out = self.run_main(path, "--baseline", path)
+            self.assertEqual(status, 0, out)
+            status, out = self.run_main(path, "--baseline", path,
+                                        "--prechange", path)
+        self.assertEqual(status, 1)
+        self.assertIn("--prechange does not apply to perf_equilibrium",
+                      out)
 
 
 def serve_row(markets=64, players=8, readers=4, rps=3.0e6, **over):

@@ -1,9 +1,11 @@
-// Tests for util::Matrix: shape, row views, resize-reuse semantics.
+// Tests for util::Matrix: shape, row views, resize-reuse semantics,
+// buffer alignment.
 
 #include "rebudget/util/matrix.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -153,6 +155,22 @@ TEST(Matrix, StreamOutputMentionsShape)
     std::ostringstream os;
     os << m;
     EXPECT_NE(os.str().find("1x2"), std::string::npos);
+}
+
+TEST(Matrix, BufferIs64ByteAligned)
+{
+    for (size_t rows : {size_t(1), size_t(7), size_t(1000)}) {
+        Matrix<double> m(rows, 2, 1.0);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.data()) %
+                      rebudget::util::kMatrixAlignment,
+                  0u)
+            << rows << " rows";
+        m.resize(rows + 3, 4);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.data()) %
+                      rebudget::util::kMatrixAlignment,
+                  0u)
+            << rows << " rows after resize";
+    }
 }
 
 } // namespace

@@ -35,20 +35,16 @@ runs used the same suite shape.
 Usage:
     bench_compare.py FRESH.json [--baseline BENCH_market.json]
                      [--time-band 10.0]
-                     [--prechange BENCH_scaling_prepr.json
-                      [--min-speedup 2.0]]
+                     [--prechange BENCH_serve_prepr.json
+                      [--min-speedup 2.0] [--min-peak-speedup 3.0]]
 
 The timing tolerance band can also be set via the REBUDGET_BENCH_BAND
 environment variable so noisy CI machines widen it without forking the
 invocation; an explicit --time-band beats the environment.  Counters
 are exact regardless of the band.
 
---prechange compares the fresh scaling section's best_response rows
-against the committed PRE-change scalar kernel capture
-(BENCH_scaling_prepr.json): it prints the ns/sweep speedup per size
-and, when --min-speedup is given, fails if any size at >= 1000 players
-comes in under it.  This is how the ">= 2x at 1k+ players" acceptance
-line is checked from a committed artifact instead of a transient run.
+--prechange applies to serve files only (see above); passing it with
+a perf_equilibrium or recovery file is a named FAIL.
 
 Exit status 0 when every comparable counter matches (at least one
 section must be comparable), 1 otherwise.
@@ -295,52 +291,6 @@ def compare_scaling(cmp, fresh, base):
                      f"{'y' if matched == 1 else 'ies'}")
 
 
-def check_speedup(cmp, fresh, prepr, min_speedup):
-    """Fresh best_response ns/sweep vs the committed pre-change scalar
-    kernel capture, per player count.  Informational unless
-    --min-speedup is given."""
-    pre_idx = index_by(cmp, "prechange scaling",
-                       prepr.get("scaling", []), "players", "mode")
-    seen = 0
-    for entry in fresh.get("scaling", []):
-        if entry.get("mode") != "best_response":
-            continue
-        players = entry.get("players")
-        ref = pre_idx.get((players, "hill_climb_scalar"))
-        if ref is None:
-            continue
-        pre_ns = ref.get("ns_per_sweep")
-        new_ns = entry.get("ns_per_sweep")
-        if pre_ns is None or new_ns is None:
-            missing = "pre-change" if pre_ns is None else "fresh"
-            cmp.errors.append(
-                f"scaling players={players}: {missing} row has no "
-                f"ns_per_sweep -- cannot form a speedup")
-            continue
-        if pre_ns <= 0 or new_ns <= 0:
-            # A zero-valued counter is a broken capture, not a free
-            # pass: deterministic FAIL with the offending side named.
-            cmp.errors.append(
-                f"scaling players={players}: non-positive ns_per_sweep "
-                f"(pre-change {pre_ns}, fresh {new_ns}) -- regenerate "
-                f"the capture")
-            continue
-        seen += 1
-        speedup = pre_ns / new_ns
-        cmp.notes.append(
-            f"speedup players={players}: {pre_ns:.0f} -> {new_ns:.0f} "
-            f"ns/sweep ({speedup:.2f}x vs pre-change scalar)")
-        if (min_speedup is not None and players >= 1000
-                and speedup < min_speedup):
-            cmp.errors.append(
-                f"scaling players={players}: best_response speedup "
-                f"{speedup:.2f}x below required {min_speedup}x")
-    if seen == 0:
-        cmp.errors.append(
-            "prechange comparison requested but no overlapping "
-            "(players, best_response) rows were found")
-
-
 # Integrity counters that must be zero on every capacity row, fresh or
 # committed: one torn read or one steady tick that heap-allocated is a
 # correctness bug, not a performance regression.
@@ -542,15 +492,13 @@ def main():
                          "(default: REBUDGET_BENCH_BAND env, else 10x; "
                          "counters are always exact)")
     ap.add_argument("--prechange", default=None,
-                    help="committed pre-change scalar scaling capture "
-                         "(BENCH_scaling_prepr.json) to report "
-                         "best_response speedups against")
+                    help="serve files: committed pre-change capacity "
+                         "capture (BENCH_serve_prepr.json) to report "
+                         "reads_per_sec speedups against")
     ap.add_argument("--min-speedup", type=float, default=None,
-                    help="with --prechange: fail if any >= 1k-player "
-                         "best_response row is below this ns/sweep "
-                         "speedup; for serve files, fail if the "
+                    help="serve files with --prechange: fail if the "
                          "geomean reads_per_sec speedup over "
-                         "readers >= 4 rows is below it "
+                         "readers >= 4 rows is below this "
                          "(default: informational only)")
     ap.add_argument("--min-peak-speedup", type=float, default=None,
                     help="serve files with --prechange: fail if the "
@@ -590,17 +538,14 @@ def main():
                                 args.min_speedup,
                                 args.min_peak_speedup)
     else:
-        if args.min_peak_speedup is not None:
-            print("FAIL: --min-peak-speedup only applies to "
-                  f"{SERVE_SCHEMA} files")
+        if args.prechange is not None:
+            print("FAIL: --prechange does not apply to perf_equilibrium "
+                  "files")
             return 1
         compare_synthetic(cmp, fresh, base)
         compare_steady_state(cmp, fresh, base)
         compare_suite(cmp, fresh, base)
         compare_scaling(cmp, fresh, base)
-        if args.prechange is not None:
-            check_speedup(cmp, fresh, load(args.prechange),
-                          args.min_speedup)
 
     for note in cmp.notes:
         print(note)

@@ -72,7 +72,6 @@ struct Options
     bool warmStart = true;
     bool statsJson = false; // --stats json
     size_t players = 0;     // --players N synthetic-scale mode (0 = off)
-    bool bestResponse = false; // --best-response on
 };
 
 void
@@ -99,11 +98,6 @@ usage()
         "                          table; large-n solves become\n"
         "                          reproducible from the CLI without\n"
         "                          the perf preset\n"
-        "  --best-response on|off  solve equilibria with the closed-\n"
-        "                          form price-anticipating best\n"
-        "                          response instead of the hill climb\n"
-        "                          (default off; the 10k-100k player\n"
-        "                          regime wants 'on')\n"
         "  --bundle CAT-NN         run a generated bundle, e.g. BBPN-03\n"
         "  --cores N               machine size for --bundle (default:\n"
         "                          number of apps; multiple of 4)\n"
@@ -340,7 +334,6 @@ runAnalytic(const Options &opt, ProfileSource &source,
     const auto &models = bp.models;
     core::AllocationProblem &problem = bp.problem;
     problem.marketConfig.warmStart = opt.warmStart;
-    problem.marketConfig.bestResponse = opt.bestResponse;
 
     const auto mechanism = makeMechanism(opt);
     core::AllocationOutcome out;
@@ -371,7 +364,6 @@ runAnalytic(const Options &opt, ProfileSource &source,
         eval::BundleProblem per_core =
             eval::makeBundleProblem(per_core_apps, lookup);
         per_core.problem.marketConfig.warmStart = opt.warmStart;
-        per_core.problem.marketConfig.bestResponse = opt.bestResponse;
         const core::GroupedProblem grouped =
             core::makeGroupedProblem(per_core.problem, groups);
         if (!grouped.status.ok())
@@ -487,7 +479,6 @@ runSyntheticScale(const Options &opt)
     eval::BundleProblem bp =
         eval::makeSyntheticBundleProblem(opt.players, opt.seed);
     bp.problem.marketConfig.warmStart = opt.warmStart;
-    bp.problem.marketConfig.bestResponse = opt.bestResponse;
     const auto mechanism = makeMechanism(opt);
     const double t0 = util::monotonicSeconds();
     const core::AllocationOutcome out = mechanism->allocate(bp.problem);
@@ -497,10 +488,9 @@ runSyntheticScale(const Options &opt)
                     out.status.toString().c_str());
     }
 
-    util::TablePrinter t({"players", "mechanism", "solver", "seed",
-                          "efficiency", "envy_freeness", "seconds"});
+    util::TablePrinter t({"players", "mechanism", "seed", "efficiency",
+                          "envy_freeness", "seconds"});
     t.addRow({std::to_string(opt.players), out.mechanism,
-              opt.bestResponse ? "best_response" : "hill_climb",
               std::to_string(opt.seed),
               util::formatDouble(
                   market::efficiency(bp.problem.models, out.alloc), 4),
@@ -1003,16 +993,6 @@ main(int argc, char **argv)
                 }
             } else if (arg == "--players") {
                 opt.players = parseUnsignedArg(arg, next());
-            } else if (arg == "--best-response") {
-                const std::string v = next();
-                if (v == "on")
-                    opt.bestResponse = true;
-                else if (v == "off")
-                    opt.bestResponse = false;
-                else
-                    util::fatal("--best-response needs 'on' or 'off', "
-                                "got '%s'",
-                                v.c_str());
             } else if (arg == "--bundle") {
                 opt.bundle = next();
             } else if (arg == "--cores") {
