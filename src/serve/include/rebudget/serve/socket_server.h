@@ -3,39 +3,15 @@
 
 /**
  * @file
- * poll()-based transport for rebudgetd: a nonblocking event loop
- * accepting length-prefixed frames over a Unix-domain socket or
- * loopback TCP.  One thread owns all connection state; it never
- * touches market state:
- *
- *  - each POLLIN wakeup drains the socket to EAGAIN and processes
- *    every complete frame in the batch;
- *  - mutating market ops (Create/Demand/Join/Leave) are routed RAW --
- *    the I/O thread peeks opcode + market id and hands the frame to
- *    ServerCore::submitFrame; decode, apply and encode run on the
- *    shard's worker, and the reply comes back through an eventfd-woken
- *    completion queue;
- *  - GetAllocation is answered inline from the lock-free snapshot
- *    path (Shard::readAllocation), GetStats from the mutex-free
- *    telemetry accessors;
- *  - epoch ticks (timer or TickNow) run via ServerCore::tickAsync, so
- *    the loop keeps serving reads while shards solve.  A TickNow
- *    waits for already-queued writes to apply before solving, keeping
- *    the demand -> TickNow -> GetAllocation pipeline meaningful;
- *  - replies are sequenced per connection (inline reads can finish
- *    before queued writes; the wire still carries replies in request
- *    order) and flushed with one gathering sendmsg per connection per
- *    round; short writes stay buffered and resume on POLLOUT.
- *
- * Failure semantics (tests/serve/socket_server_test.cpp pins these):
- *  - unknown opcode / malformed body of a complete frame -> typed
- *    ErrorReply, connection stays open;
- *  - oversized declared frame length -> ErrorReply, then the connection
- *    is dropped (the stream position can no longer be trusted);
- *  - mid-frame disconnect -> the partial frame is discarded and the
- *    connection closed (any queued replies are still delivered);
- *  - in every case the other connections and every hosted market are
- *    untouched.
+ * rebudgetd's socket driver: one nonblocking poll() thread that owns
+ * the listening socket and every connection fd over a Unix-domain
+ * socket or loopback TCP.  It moves bytes between the fds and a
+ * serve::Transport, which makes every routing, sequencing, tick and
+ * drain decision (transport.h states the contract), and carries worker
+ * replies and tick ends back from ServerCore's pool through an
+ * eventfd-woken completion queue.  Each POLLIN wakeup reads a socket
+ * to EAGAIN; each round writes a connection's queued replies with one
+ * gathering sendmsg per 64 frames, and a short write resumes on POLLOUT.
  */
 
 #include <atomic>
@@ -59,10 +35,6 @@ struct SocketServerOptions
     std::uint32_t tickMs = 100;
     /** Stop after this many epochs (0 = run until Shutdown/stop flag). */
     std::uint64_t maxTicks = 0;
-    /** Bound on the shutdown drain: after this many milliseconds the
-     * loop exits even with requests still in flight (a dead peer or a
-     * wedged solve must not hold the daemon open forever). */
-    std::uint32_t drainMs = 5000;
     /**
      * Invoked on the I/O thread each time an epoch tick completes,
      * with the epoch that just finished (no tick is in flight during
@@ -94,7 +66,7 @@ class SocketServer
      * Ask a running loop to stop.  The first call begins a graceful
      * shutdown: the loop stops accepting connections, drains queued
      * writes and in-flight ticks, flushes pending replies, then exits
-     * (bounded by SocketServerOptions::drainMs).  A second call -- the
+     * (bounded by Transport::kDrainMs).  A second call -- the
      * impatient operator's second Ctrl-C -- exits at the next poll
      * wakeup without waiting for the drain.  Safe to call from a
      * signal handler or another thread (lock-free atomic increment).
