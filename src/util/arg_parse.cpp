@@ -5,6 +5,8 @@
 #include <cmath>
 #include <string>
 
+#include "rebudget/util/logging.h"
+
 namespace rebudget::util {
 
 namespace {
@@ -102,6 +104,27 @@ parseDouble(std::string_view text)
                                   quoted(text).c_str());
     }
     return value;
+}
+
+std::uint64_t
+unsignedFlag(std::string_view flag, std::string_view value,
+             std::uint64_t max)
+{
+    const auto parsed = parseUnsigned(value, max);
+    if (!parsed.ok())
+        fatal("%.*s: %s", static_cast<int>(flag.size()), flag.data(),
+              parsed.status().message().c_str());
+    return parsed.value();
+}
+
+double
+doubleFlag(std::string_view flag, std::string_view value)
+{
+    const auto parsed = parseDouble(value);
+    if (!parsed.ok())
+        fatal("%.*s: %s", static_cast<int>(flag.size()), flag.data(),
+              parsed.status().message().c_str());
+    return parsed.value();
 }
 
 } // namespace rebudget::util

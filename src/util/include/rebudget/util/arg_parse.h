@@ -16,11 +16,12 @@
  * Every parser here consumes the WHOLE token or returns a named error
  * status, so a mistyped flag value surfaces as a diagnostic instead of
  * a silently truncated (or wrapped) number.  rebudget_cli, rebudgetd,
- * rebudgetctl and the serve replay-trace parser all route their numeric
- * arguments through these.
+ * rebudgetctl, rebudgetload and the serve command parser all route
+ * their numeric arguments through these.
  */
 
 #include <cstdint>
+#include <limits>
 #include <string_view>
 
 #include "rebudget/util/status.h"
@@ -45,6 +46,15 @@ Expected<std::uint64_t> parseUnsigned(std::string_view text,
  * the "inf"/"nan" spellings -- no allocation knob means infinity.
  */
 Expected<double> parseDouble(std::string_view text);
+
+/** parseUnsigned(@p value, @p max) for a command-line flag: a bad value
+ * is util::fatal("<flag>: <why>"). */
+std::uint64_t
+unsignedFlag(std::string_view flag, std::string_view value,
+             std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/** parseDouble(@p value) for a command-line flag, fatal as above. */
+double doubleFlag(std::string_view flag, std::string_view value);
 
 } // namespace rebudget::util
 

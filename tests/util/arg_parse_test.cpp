@@ -15,6 +15,7 @@
 #include <string>
 
 #include "rebudget/util/arg_parse.h"
+#include "rebudget/util/logging.h"
 
 using namespace rebudget::util;
 
@@ -98,4 +99,26 @@ TEST(ParseDouble, RejectsWhitespace)
 {
     EXPECT_FALSE(parseDouble(" 1.0").ok());
     EXPECT_FALSE(parseDouble("1.0\n").ok());
+}
+
+TEST(FlagParsers, ReturnValueOrFailNamingTheFlag)
+{
+    EXPECT_EQ(unsignedFlag("--shards", "8"), 8u);
+    EXPECT_EQ(unsignedFlag("--port", "65535", 0xffff), 65535u);
+    EXPECT_DOUBLE_EQ(doubleFlag("--rate", "2.5"), 2.5);
+    for (const auto &[flag, value] :
+         {std::pair<std::string, std::string>{"--port", "65536"},
+          {"--jobs", "-1"},
+          {"--rate", "nan"}}) {
+        try {
+            if (flag == "--rate")
+                (void)doubleFlag(flag, value);
+            else
+                (void)unsignedFlag(flag, value, 0xffff);
+            ADD_FAILURE() << flag << " " << value << " was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()).rfind(flag + ": ", 0), 0u)
+                << e.what();
+        }
+    }
 }

@@ -162,36 +162,6 @@ usage()
         "                          sweep emits rebudget.noise_sweep.v1)\n";
 }
 
-/**
- * Strict numeric parsing for command-line values, via the shared
- * util::parseUnsigned/parseDouble (arg_parse.h): the whole token must
- * convert -- no trailing garbage, no whitespace, no negative values
- * wrapping through std::stoul -- and a bad value surfaces as a clean
- * `error:` line naming the flag.  rebudgetd and rebudgetctl use the
- * same parsers, so the whole tool surface rejects identically.
- */
-unsigned long
-parseUnsignedArg(const std::string &flag, const std::string &value)
-{
-    const auto parsed = util::parseUnsigned(value);
-    if (!parsed.ok()) {
-        util::fatal("%s needs a non-negative integer (%s)", flag.c_str(),
-                    parsed.status().message().c_str());
-    }
-    return static_cast<unsigned long>(parsed.value());
-}
-
-double
-parseDoubleArg(const std::string &flag, const std::string &value)
-{
-    const auto parsed = util::parseDouble(value);
-    if (!parsed.ok()) {
-        util::fatal("%s needs a number (%s)", flag.c_str(),
-                    parsed.status().message().c_str());
-    }
-    return parsed.value();
-}
-
 std::vector<std::string>
 splitCsv(const std::string &s)
 {
@@ -293,7 +263,7 @@ makeMechanism(const Options &opt)
         double step = opt.step;
         const auto dash = m.find('-');
         if (dash != std::string::npos)
-            step = parseDoubleArg("ReBudget step", m.substr(dash + 1));
+            step = util::doubleFlag("ReBudget step", m.substr(dash + 1));
         return std::make_unique<core::ReBudgetAllocator>(
             core::ReBudgetAllocator::withStep(step));
     }
@@ -989,21 +959,21 @@ main(int argc, char **argv)
             } else if (arg == "--threads") {
                 for (const auto &tok : splitCsv(next())) {
                     opt.threads.push_back(static_cast<uint32_t>(
-                        parseUnsignedArg("--threads", tok)));
+                        util::unsignedFlag("--threads", tok)));
                 }
             } else if (arg == "--players") {
-                opt.players = parseUnsignedArg(arg, next());
+                opt.players = util::unsignedFlag(arg, next());
             } else if (arg == "--bundle") {
                 opt.bundle = next();
             } else if (arg == "--cores") {
                 opt.cores = static_cast<uint32_t>(
-                    parseUnsignedArg(arg, next()));
+                    util::unsignedFlag(arg, next()));
             } else if (arg == "--mechanism") {
                 opt.mechanism = next();
             } else if (arg == "--step") {
-                opt.step = parseDoubleArg(arg, next());
+                opt.step = util::doubleFlag(arg, next());
             } else if (arg == "--ef-target") {
-                opt.efTarget = parseDoubleArg(arg, next());
+                opt.efTarget = util::doubleFlag(arg, next());
             } else if (arg == "--sim") {
                 opt.sim = true;
             } else if (arg == "--sweep") {
@@ -1012,19 +982,19 @@ main(int argc, char **argv)
                 opt.noiseSweep = true;
             } else if (arg == "--bundles") {
                 opt.bundlesPerCategory = static_cast<uint32_t>(
-                    parseUnsignedArg(arg, next()));
+                    util::unsignedFlag(arg, next()));
             } else if (arg == "--faults") {
                 opt.faultsSpec = next();
             } else if (arg == "--churn") {
                 opt.churnSpec = next();
             } else if (arg == "--jobs") {
                 opt.jobs = static_cast<unsigned>(
-                    parseUnsignedArg(arg, next()));
+                    util::unsignedFlag(arg, next()));
             } else if (arg == "--epochs") {
                 opt.epochs = static_cast<uint32_t>(
-                    parseUnsignedArg(arg, next()));
+                    util::unsignedFlag(arg, next()));
             } else if (arg == "--seed") {
-                opt.seed = parseUnsignedArg(arg, next());
+                opt.seed = util::unsignedFlag(arg, next());
             } else if (arg == "--warm-start") {
                 const std::string v = next();
                 if (v == "on")

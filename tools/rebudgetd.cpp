@@ -112,18 +112,6 @@ usage()
         stderr);
 }
 
-std::uint64_t
-parseFlag(const std::string &flag, const std::string &value,
-          std::uint64_t max)
-{
-    const auto parsed = util::parseUnsigned(value, max);
-    if (!parsed.ok()) {
-        util::fatal("%s: %s", flag.c_str(),
-                    parsed.status().message().c_str());
-    }
-    return parsed.value();
-}
-
 /** Print the post-recovery state line (the crash smoke greps it) and
  * the graded warnings. */
 void
@@ -181,26 +169,26 @@ main(int argc, char **argv)
             have_transport = true;
         } else if (arg == "--port") {
             options.port = static_cast<std::uint16_t>(
-                parseFlag(arg, value(), 0xffff));
+                util::unsignedFlag(arg, value(), 0xffff));
             have_transport = true;
         } else if (arg == "--shards") {
             config.shards = static_cast<std::size_t>(
-                parseFlag(arg, value(), 1u << 12));
+                util::unsignedFlag(arg, value(), 1u << 12));
             if (config.shards == 0)
                 util::fatal("--shards must be at least 1");
         } else if (arg == "--jobs") {
             config.jobs = static_cast<unsigned>(
-                parseFlag(arg, value(), 1u << 12));
+                util::unsignedFlag(arg, value(), 1u << 12));
         } else if (arg == "--tick-ms") {
             options.tickMs = static_cast<std::uint32_t>(
-                parseFlag(arg, value(), 3600u * 1000u));
+                util::unsignedFlag(arg, value(), 3600u * 1000u));
         } else if (arg == "--max-ticks") {
-            options.maxTicks = parseFlag(arg, value(), 1u << 30);
+            options.maxTicks = util::unsignedFlag(arg, value(), 1u << 30);
         } else if (arg == "--state-dir") {
             persist_config.dir = value();
         } else if (arg == "--snapshot-ticks") {
             persist_config.snapshotEveryTicks =
-                parseFlag(arg, value(), 1u << 30);
+                util::unsignedFlag(arg, value(), 1u << 30);
             if (persist_config.snapshotEveryTicks == 0)
                 util::fatal("--snapshot-ticks must be at least 1");
         } else if (arg == "--no-fsync") {
@@ -211,7 +199,7 @@ main(int argc, char **argv)
         } else if (arg == "--replay") {
             replay_path = value();
         } else if (arg == "--ticks") {
-            extra_ticks = parseFlag(arg, value(), 1u << 30);
+            extra_ticks = util::unsignedFlag(arg, value(), 1u << 30);
         } else if (arg == "--stats") {
             const std::string v = value();
             if (v != "json")
